@@ -10,7 +10,6 @@ answer to the exit code.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 
 from .cohomology import cochain_support, pairing_tensor, property_a_witness
@@ -58,9 +57,8 @@ def _emit(args, fields: list[tuple[str, str]], human: list[str]) -> None:
 
 
 def _load(path) -> tuple[SimplicialComplex, str]:
-    with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    return parse_complex_file(path).complex(), digest
+    parsed = parse_complex_file(path)
+    return parsed.complex(), parsed.sha256
 
 
 def _infer_surface(complex_: SimplicialComplex) -> SurfaceClass:

@@ -4,13 +4,15 @@ One maximal simplex per line, vertex labels separated by whitespace.
 '#' starts a comment; a comment of the form '# surface: NAME' declares
 which closed surface the file is expected to triangulate.  Blank lines
 are ignored.  Files are UTF-8, written with LF; CRLF is tolerated on
-read.  A file with no simplex lines is a parse error.
+read; bytes that are not UTF-8 are a parse error.  A file with no
+simplex lines is a parse error.
 """
 
 from __future__ import annotations
 
+import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .complexes import SimplicialComplex, build_complex, check_label
 from .errors import MalformedInputError, ParseError
@@ -28,10 +30,12 @@ _SURFACE_RE = re.compile(r"#\s*surface:\s*(\S+)")
 
 @dataclass(frozen=True)
 class ComplexFile:
-    """Parsed file: the simplex lines as given, plus any declared surface."""
+    """Parsed file: the simplex lines as given, plus any declared surface
+    and, when read from a file, the sha256 of the bytes that were parsed."""
 
     maximal_simplices: tuple[tuple[str, ...], ...]
     surface_name: str | None = None
+    sha256: str | None = None
 
     def complex(self) -> SimplicialComplex:
         return build_complex(self.maximal_simplices)
@@ -67,8 +71,16 @@ def parse_complex_text(text: str) -> ComplexFile:
 
 
 def parse_complex_file(path) -> ComplexFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_complex_text(fh.read())
+    """Read the file once; hash and decode those same bytes."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise ParseError(f"not valid UTF-8 at byte {err.start}", line=line) from err
+    parsed = parse_complex_text(text)
+    return replace(parsed, sha256=hashlib.sha256(data).hexdigest())
 
 
 def complex_to_text(complex_: SimplicialComplex, surface_name: str | None = None) -> str:

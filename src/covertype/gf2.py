@@ -1,9 +1,16 @@
 """Dense bit-packed linear algebra over the two-element field.
 
 Rows of a matrix (and whole vectors) are stored as Python integers used
-as bit sets, so field addition is a single XOR on machine words.  Every
-reduction here returns a canonical (reduced row echelon) result; the
-rest of the package relies on that for deterministic tie-breaking.
+as bit sets, so field addition is a single XOR on machine words.
+
+There is one elimination routine, the pivot-dictionary reduction of
+persistent-homology software (Zomorodian-Carlsson 2005; PHAT, Bauer et
+al. 2017): a `Span` keeps one row per pivot, keyed by the row's lowest
+set bit, and reduces each new vector against it.  `rank` reads off the
+number of pivots and never back-substitutes.  `kernel_basis`,
+`image_basis`, `solve` and `subspace_intersection` back-substitute once
+and return canonical (reduced row echelon) results; the rest of the
+package relies on that for deterministic tie-breaking.
 """
 
 from __future__ import annotations
@@ -205,32 +212,11 @@ class Gf2Matrix:
         return all(r == 0 for r in self.row_bits)
 
 
-def _rref(row_bits: Iterable[int], cols: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [r for r in row_bits]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if (rows[i] >> c) & 1:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        for i in range(len(rows)):
-            if i != r and (rows[i] >> c) & 1:
-                rows[i] ^= rows[r]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
 def rank(m: Gf2Matrix) -> int:
-    return len(_rref(m.row_bits, m.cols)[1])
+    # rank(m) = rank(m^T): eliminate whichever side has fewer vectors
+    if m.rows <= m.cols:
+        return Span._of_bits(m.cols, m.row_bits).dim
+    return Span._of_bits(m.rows, m.transpose().row_bits).dim
 
 
 def kernel_basis(m: Gf2Matrix) -> list[Gf2Vector]:
@@ -240,24 +226,23 @@ def kernel_basis(m: Gf2Matrix) -> list[Gf2Vector]:
     with a 1 in its free coordinate; this is the reduced-echelon kernel
     basis, so equal matrices always yield the identical list.
     """
-    rows, pivots = _rref(m.row_bits, m.cols)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        bits = 1 << f
-        for r_idx, p in enumerate(pivots):
-            if (rows[r_idx] >> f) & 1:
-                bits |= 1 << p
-        basis.append(Gf2Vector(m.cols, bits))
-    return basis
+    rows = Span._of_bits(m.cols, m.row_bits)._reduced_rows()
+    pivots = {p for p, _ in rows}
+    basis = {f: 1 << f for f in range(m.cols) if f not in pivots}
+    # a reduced row is its pivot plus free columns: x_p = sum of those x_f
+    for p, row in rows:
+        free = row ^ (1 << p)
+        while free:
+            low = free & -free
+            basis[low.bit_length() - 1] |= 1 << p
+            free ^= low
+    return [Gf2Vector(m.cols, bits) for bits in basis.values()]
 
 
 def image_basis(m: Gf2Matrix) -> list[Gf2Vector]:
     """Canonical basis of the column space, as reduced-echelon rows."""
-    rows, pivots = _rref(m.transpose().row_bits, m.rows)
-    return [Gf2Vector(m.rows, rows[i]) for i in range(len(pivots))]
+    rows = Span._of_bits(m.rows, m.transpose().row_bits)._reduced_rows()
+    return [Gf2Vector(m.rows, row) for _, row in rows]
 
 
 def solve(m: Gf2Matrix, b: Gf2Vector) -> Gf2Vector | None:
@@ -266,23 +251,24 @@ def solve(m: Gf2Matrix, b: Gf2Vector) -> Gf2Vector | None:
         raise PreconditionError("right-hand side length does not match row count")
     # augment each row with the matching coordinate of b in bit position `cols`
     aug = [r | (((b.bits >> i) & 1) << m.cols) for i, r in enumerate(m.row_bits)]
-    rows, pivots = _rref(aug, m.cols)
-    for i in range(len(pivots), len(rows)):
-        if rows[i]:
-            return None
+    span = Span._of_bits(m.cols + 1, aug)
+    if span.contains(Gf2Vector.unit(m.cols + 1, m.cols)):
+        return None  # 0 = 1 is a consequence of the equations
     bits = 0
-    for r_idx, p in enumerate(pivots):
-        if (rows[r_idx] >> m.cols) & 1:
+    for p, row in span._reduced_rows():
+        if (row >> m.cols) & 1:
             bits |= 1 << p
     return Gf2Vector(m.cols, bits)
 
 
 def subspace_intersection(a: Sequence[Gf2Vector], b: Sequence[Gf2Vector]) -> list[Gf2Vector]:
-    """Canonical basis of span(a) ∩ span(b).
+    """Canonical basis of span(a) ∩ span(b), as reduced-echelon rows.
 
-    Solves A·λ + B·μ = 0 with the spanning vectors as columns and maps
-    each kernel element back through A; the collected vectors are then
-    row reduced so the answer does not depend on the presentation.
+    Zassenhaus: the rows (v | v) for v in a and (v | 0) for v in b, with
+    the left half in the low bits, span {(x + y | x)}; its members with
+    a zero left half are exactly (0 | x) for x in the intersection, and
+    an echelon basis keyed by lowest set bit spans them by the rows
+    whose pivot lies in the right half.
     """
     vecs = list(a) + list(b)
     if not a or not b:
@@ -291,33 +277,47 @@ def subspace_intersection(a: Sequence[Gf2Vector], b: Sequence[Gf2Vector]) -> lis
     for v in vecs:
         if v.length != n:
             raise PreconditionError("ambient dimensions differ")
-    stacked = Gf2Matrix.from_columns(vecs, n)
-    members = []
-    for k in kernel_basis(stacked):
-        bits = 0
-        for j in range(len(a)):
-            if (k.bits >> j) & 1:
-                bits ^= a[j].bits
-        if bits:
-            members.append(bits)
-    rows, pivots = _rref(members, n)
-    return [Gf2Vector(n, rows[i]) for i in range(len(pivots))]
+    stacked = [v.bits | (v.bits << n) for v in a] + [v.bits for v in b]
+    span = Span._of_bits(2 * n, stacked)
+    meet = Span._of_bits(n, (row >> n for p, row in span._pivots.items() if p >= n))
+    return [Gf2Vector(n, row) for _, row in meet._reduced_rows()]
 
 
 class Span:
-    """Incrementally maintained row-reduced span, for membership tests."""
+    """A subspace of GF(2)^length, held as an echelon basis: one row per
+    pivot, keyed by the row's lowest set bit.  This is the package's one
+    elimination routine.
+
+    A vector is reduced by XOR-ing in the row whose pivot is its lowest
+    set bit until that bit is no pivot (the vector is independent, and
+    joins with that bit as its pivot) or nothing is left (it lies in the
+    span).  Rows are never rewritten once stored.
+    """
 
     def __init__(self, length: int, vectors: Iterable[Gf2Vector] = ()):
         self.length = length
-        self._rows: list[tuple[int, int]] = []  # (pivot, bits), pivot ascending
+        self._pivots: dict[int, int] = {}
         for v in vectors:
             self.add(v)
 
+    @classmethod
+    def _of_bits(cls, length: int, rows: Iterable[int]) -> "Span":
+        """The span of raw bit rows, each narrower than length."""
+        span = cls(length)
+        for bits in rows:
+            span._insert(bits)
+        return span
+
     def _reduce(self, bits: int) -> int:
-        for pivot, row in self._rows:
-            if (bits >> pivot) & 1:
-                bits ^= row
-        return bits
+        """0 if bits lies in the span, else a nonzero remainder whose
+        lowest set bit is no pivot."""
+        pivots = self._pivots
+        while bits:
+            row = pivots.get((bits & -bits).bit_length() - 1)
+            if row is None:
+                return bits
+            bits ^= row
+        return 0
 
     def contains(self, v: Gf2Vector) -> bool:
         if v.length != self.length:
@@ -328,15 +328,38 @@ class Span:
         """Insert v; True if it was independent of the current span."""
         if v.length != self.length:
             raise PreconditionError("ambient dimensions differ")
-        bits = self._reduce(v.bits)
+        return self._insert(v.bits)
+
+    def _insert(self, bits: int) -> bool:
+        bits = self._reduce(bits)
         if bits == 0:
             return False
-        pivot = (bits & -bits).bit_length() - 1
-        self._rows = [(p, r ^ bits if (r >> pivot) & 1 else r) for p, r in self._rows]
-        self._rows.append((pivot, bits))
-        self._rows.sort()
+        self._pivots[(bits & -bits).bit_length() - 1] = bits
         return True
 
     @property
     def dim(self) -> int:
-        return len(self._rows)
+        return len(self._pivots)
+
+    def _reduced_rows(self) -> list[tuple[int, int]]:
+        """The reduced row echelon basis, the unique one in which every
+        pivot column is zero outside its own row, as (pivot, row) pairs
+        with pivots ascending.
+
+        Back substitution from the highest pivot down: a stored row has
+        no bits below its pivot, so every other pivot it touches is
+        higher and its row is already reduced; XOR-ing that row in
+        clears the pivot bit and adds only non-pivot bits.
+        """
+        mask = 0
+        for p in self._pivots:
+            mask |= 1 << p
+        reduced: dict[int, int] = {}
+        for p, row in sorted(self._pivots.items(), reverse=True):
+            others = (row & mask) ^ (1 << p)
+            while others:
+                low = others & -others
+                row ^= reduced[low.bit_length() - 1]
+                others ^= low
+            reduced[p] = row
+        return sorted(reduced.items())

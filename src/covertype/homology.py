@@ -165,12 +165,8 @@ def surplus_cycle(
         return None
     d2 = data.boundary_matrix(2)
     cols = [data.index[2][t] for t in kept]
-    restricted_rows = [0] * d2.rows
-    for new_j, j in enumerate(cols):
-        for i in range(d2.rows):
-            if (d2.row_bits[i] >> j) & 1:
-                restricted_rows[i] |= 1 << new_j
-    restricted = gf2.Gf2Matrix(d2.rows, len(cols), tuple(restricted_rows))
+    boundaries = d2.transpose().row_bits  # row j is the boundary of triangle j
+    restricted = gf2.Gf2Matrix(len(cols), d2.rows, tuple(boundaries[j] for j in cols)).transpose()
     kernel = []
     for k in gf2.kernel_basis(restricted):
         bits = 0

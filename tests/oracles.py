@@ -44,6 +44,102 @@ def rank_mod2_dense(matrix):
     return r
 
 
+def rref_reference(row_bits, cols):
+    """Gauss-Jordan reduced row echelon form of bit-packed rows, column
+    by column: returns (rows, pivot columns); the first len(pivots) rows
+    are the reduced basis.  The reference the package's pivot-dictionary
+    eliminator is checked against."""
+    rows = list(row_bits)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if (rows[i] >> c) & 1:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        for i in range(len(rows)):
+            if i != r and (rows[i] >> c) & 1:
+                rows[i] ^= rows[r]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def transpose_reference(row_bits, cols):
+    """Bit-packed transpose by scanning every entry."""
+    out = []
+    for j in range(cols):
+        bits = 0
+        for i, row in enumerate(row_bits):
+            if (row >> j) & 1:
+                bits |= 1 << i
+        out.append(bits)
+    return out
+
+
+def kernel_reference(m):
+    """Reduced-echelon kernel basis as bit patterns: one vector per free
+    column, ascending, with a 1 in its free coordinate."""
+    return _kernel_bits(m.row_bits, m.cols)
+
+
+def _kernel_bits(row_bits, cols):
+    rows, pivots = rref_reference(row_bits, cols)
+    basis = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        bits = 1 << f
+        for r_idx, p in enumerate(pivots):
+            if (rows[r_idx] >> f) & 1:
+                bits |= 1 << p
+        basis.append(bits)
+    return basis
+
+
+def image_reference(m):
+    """Reduced-echelon basis of the column space, as bit patterns."""
+    rows, pivots = rref_reference(transpose_reference(m.row_bits, m.cols), m.rows)
+    return rows[: len(pivots)]
+
+
+def solve_reference(m, b_bits):
+    """Bit pattern of the solution of m x = b with free variables 0, or
+    None when there is none."""
+    aug = [r | (((b_bits >> i) & 1) << m.cols) for i, r in enumerate(m.row_bits)]
+    rows, pivots = rref_reference(aug, m.cols)
+    if any(rows[len(pivots) :]):
+        return None
+    bits = 0
+    for r_idx, p in enumerate(pivots):
+        if (rows[r_idx] >> m.cols) & 1:
+            bits |= 1 << p
+    return bits
+
+
+def intersection_reference(a_bits, b_bits, n):
+    """Reduced-echelon basis of span(a) & span(b) in GF(2)^n: solve
+    A.l + B.m = 0 and map each solution back through A."""
+    if not a_bits or not b_bits:
+        return []
+    vecs = list(a_bits) + list(b_bits)
+    members = []
+    for k in _kernel_bits(transpose_reference(vecs, n), len(vecs)):
+        bits = 0
+        for j, v in enumerate(a_bits):
+            if (k >> j) & 1:
+                bits ^= v
+        members.append(bits)
+    rows, pivots = rref_reference(members, n)
+    return rows[: len(pivots)]
+
+
 def betti_oracle(complex_):
     """Mod-2 Betti numbers by the rank-nullity bookkeeping alone."""
     if complex_.is_empty:

@@ -286,6 +286,38 @@ def test_missing_and_malformed_files(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("homology",),
+        ("property-a",),
+        ("surface",),
+        ("reduce", "{out}", "--surface", "S2"),
+        ("construct-m2", "{out}"),
+    ],
+)
+def test_non_utf8_file_is_a_parse_error(argv, tmp_path, capsys):
+    bad = tmp_path / "bad.cplx"
+    bad.write_bytes(b"a b c\n\xff\xfe d\n")
+    command, *rest = argv
+    rest = [a.replace("{out}", str(tmp_path / "out.cplx")) for a in rest]
+    code, out, err = run(capsys, "--machine", command, bad, *rest)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 2: not valid UTF-8")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out.cplx").exists()
+
+
+def test_sha256_is_of_the_parsed_bytes(tmp_path, capsys):
+    path = tmp_path / "crlf.cplx"
+    data = b"# surface: S2\r\n1 2 3\r\n1 2 4\r\n1 3 4\r\n2 3 4\r\n"
+    path.write_bytes(data)
+    code, out, _ = run(capsys, "--machine", "homology", path)
+    assert code == 0
+    assert machine(out)["sha256"] == hashlib.sha256(data).hexdigest()
+
+
 def test_quiet_suppresses_stdout(files, capsys):
     code, out, _ = run(capsys, "--quiet", "surface", files["torus_7"])
     assert code == 0

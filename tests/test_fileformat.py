@@ -3,6 +3,8 @@ header, error positions, and write/read round trips."""
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 import covertype as ct
@@ -113,3 +115,21 @@ def test_bundled_files_declare_their_surfaces():
         ("genus2_10", None),
     ):
         assert "# surface:" in ct.bundled_text(name)
+
+
+def test_file_carries_the_hash_of_its_bytes(tmp_path):
+    data = "a b c\r\nb c d\n".encode("utf-8")
+    path = tmp_path / "k.cplx"
+    path.write_bytes(data)
+    parsed = parse_complex_file(path)
+    assert parsed.sha256 == hashlib.sha256(data).hexdigest()
+    assert parsed.maximal_simplices == (("a", "b", "c"), ("b", "c", "d"))
+    assert parse_complex_text(data.decode("utf-8")).sha256 is None
+
+
+def test_non_utf8_bytes_are_a_parse_error(tmp_path):
+    path = tmp_path / "bad.cplx"
+    path.write_bytes(b"a b c\nb c d\n\xff\xfe d\n")
+    with pytest.raises(ParseError) as info:
+        parse_complex_file(path)
+    assert info.value.line == 3
