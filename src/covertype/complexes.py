@@ -7,12 +7,17 @@ search in the package.  Complexes are immutable; the structural moves
 (excision, elementary collapse, edge contraction, vertex identification)
 are module-level functions that return a fresh complex together with a
 MoveRecord, so a reduction pipeline can be audited and replayed.
+
+A long run of excisions and collapses goes through a WorkingComplex
+instead: the same move functions change it in place and return it, with
+the same MoveRecord, and freeze() takes a SimplicialComplex snapshot.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -29,6 +34,7 @@ __all__ = [
     "Simplex",
     "SimplicialComplex",
     "MoveRecord",
+    "WorkingComplex",
     "make_simplex",
     "build_complex",
     "remove_two_simplex",
@@ -53,9 +59,12 @@ IDENTIFICATION = "vertex-identification"
 def check_label(label: str) -> str:
     if not isinstance(label, str) or not label:
         raise MalformedInputError("vertex labels must be non-empty strings")
-    if any(ch.isspace() for ch in label) or not label.isprintable():
+    # every whitespace character but " " is unprintable; "#" would start
+    # a comment in the file format, so the label could not be read back
+    if not label.isprintable() or " " in label or "#" in label:
         raise MalformedInputError(
-            f"invalid vertex label {label!r}: labels must be printable and contain no whitespace"
+            f"invalid vertex label {label!r}: labels must be printable and contain"
+            " no whitespace or '#'"
         )
     return label
 
@@ -316,10 +325,125 @@ class MoveRecord:
     aux: tuple[Simplex, ...] = ()
 
 
+class WorkingComplex:
+    """A mutable complex for a long run of excisions and collapses.
+
+    It keeps the simplices of each dimension, the number of strictly
+    larger simplices containing each simplex, the codimension-1 cofaces
+    of each simplex, and a min-heap of (free face, coface) pairs with
+    lazy deletion: an entry is discarded when its face is found no
+    longer free.  Coface counts only fall, so a face becomes free at
+    most once and is pushed at most once; the heap's smallest live
+    entry is therefore exactly free_faces()[0] of a snapshot.
+    """
+
+    def __init__(self, complex_: SimplicialComplex):
+        self._groups = [set(group) for group in complex_.by_dim]
+        self._count: dict[Simplex, int] = dict.fromkeys(complex_.all_simplices(), 0)
+        self._count.update(
+            Counter(
+                f
+                for group in complex_.by_dim[1:]
+                for s in group
+                for k in range(1, len(s))
+                for f in itertools.combinations(s, k)
+            )
+        )
+        self._cofaces: dict[Simplex, set[Simplex]] = {s: set() for s in self._count}
+        for group in complex_.by_dim[1:]:
+            for s in group:
+                for f in itertools.combinations(s, len(s) - 1):
+                    self._cofaces[f].add(s)
+        self._free = [(s, next(iter(self._cofaces[s]))) for s, c in self._count.items() if c == 1]
+        heapq.heapify(self._free)
+
+    def __contains__(self, simplex: Simplex) -> bool:
+        return simplex in self._count
+
+    @property
+    def dim(self) -> int:
+        return len(self._groups) - 1
+
+    @property
+    def f_vector(self) -> tuple[int, ...]:
+        return tuple(len(group) for group in self._groups)
+
+    def strict_coface_count(self, simplex: Simplex) -> int:
+        return self._count[simplex]
+
+    def facet_cofaces(self, simplex: Simplex) -> frozenset[Simplex]:
+        return frozenset(self._cofaces[simplex])
+
+    def smallest_free_face(self) -> tuple[Simplex, Simplex] | None:
+        """The smallest (face, coface) pair whose face lies in exactly
+        one strictly larger simplex, or None when there is none."""
+        free = self._free
+        while free:
+            face, coface = free[0]
+            if self._count.get(face) == 1:
+                return face, coface
+            heapq.heappop(free)
+        return None
+
+    def smallest_maximal_edge(self) -> Simplex | None:
+        edges = self._groups[1] if len(self._groups) > 1 else ()
+        return min((e for e in edges if not self._count[e]), default=None)
+
+    def freeze(self) -> SimplicialComplex:
+        return SimplicialComplex(tuple(tuple(sorted(group)) for group in self._groups))
+
+    def _remove(self, *simplices: Simplex) -> None:
+        """Delete simplices, each maximal once those before it are gone,
+        and push every face this leaves free."""
+        touched: set[Simplex] = set()
+        for s in simplices:
+            del self._count[s], self._cofaces[s]
+            self._groups[len(s) - 1].remove(s)
+            if len(s) > 1:
+                for f in itertools.combinations(s, len(s) - 1):
+                    self._cofaces[f].discard(s)
+            for k in range(1, len(s)):
+                for f in itertools.combinations(s, k):
+                    self._count[f] -= 1
+                    touched.add(f)
+        while self._groups and not self._groups[-1]:
+            self._groups.pop()
+        for f in touched:
+            if self._count.get(f) == 1:
+                heapq.heappush(self._free, (f, next(iter(self._cofaces[f]))))
+
+    def _excise(self, triangle: Iterable[str], aux: tuple[Simplex, ...]) -> MoveRecord:
+        t = make_simplex(triangle)
+        if len(t) != 3 or t not in self:
+            raise PreconditionError(f"{t} is not a 2-simplex of the complex")
+        if self._cofaces[t]:
+            raise PreconditionError(f"{t} lies in a higher simplex; removing it would break closure")
+        before = self.f_vector
+        self._remove(t)
+        return MoveRecord(EXCISION, (t,), before, self.f_vector, aux)
+
+    def _collapse(self, face: Iterable[str]) -> MoveRecord:
+        f = make_simplex(face)
+        if f not in self:
+            raise NotFoundError(f"{f} is not in the complex")
+        count = self._count[f]
+        if count != 1:
+            raise PreconditionError(f"{f} has {count} strict cofaces; a free face has exactly one")
+        (coface,) = self._cofaces[f]
+        before = self.f_vector
+        self._remove(coface, f)
+        return MoveRecord(COLLAPSE, (f, coface), before, self.f_vector)
+
+
 def remove_two_simplex(
-    complex_: SimplicialComplex, triangle: Iterable[str], aux: tuple[Simplex, ...] = ()
-) -> tuple[SimplicialComplex, MoveRecord]:
-    """Delete one 2-simplex (its edges and vertices stay)."""
+    complex_: SimplicialComplex | WorkingComplex,
+    triangle: Iterable[str],
+    aux: tuple[Simplex, ...] = (),
+) -> tuple[SimplicialComplex | WorkingComplex, MoveRecord]:
+    """Delete one 2-simplex (its edges and vertices stay).  A
+    WorkingComplex is changed in place and returned."""
+    if isinstance(complex_, WorkingComplex):
+        return complex_, complex_._excise(triangle, aux)
     t = make_simplex(triangle)
     if len(t) != 3 or t not in complex_:
         raise PreconditionError(f"{t} is not a 2-simplex of the complex")
@@ -331,9 +455,12 @@ def remove_two_simplex(
 
 
 def collapse_free_face(
-    complex_: SimplicialComplex, face: Iterable[str]
-) -> tuple[SimplicialComplex, MoveRecord]:
-    """Elementary collapse: remove a free face and its unique coface."""
+    complex_: SimplicialComplex | WorkingComplex, face: Iterable[str]
+) -> tuple[SimplicialComplex | WorkingComplex, MoveRecord]:
+    """Elementary collapse: remove a free face and its unique coface.  A
+    WorkingComplex is changed in place and returned."""
+    if isinstance(complex_, WorkingComplex):
+        return complex_, complex_._collapse(face)
     f = make_simplex(face)
     if f not in complex_:
         raise NotFoundError(f"{f} is not in the complex")

@@ -5,7 +5,9 @@ One maximal simplex per line, vertex labels separated by whitespace.
 which closed surface the file is expected to triangulate.  Blank lines
 are ignored.  Files are UTF-8, written with LF; CRLF is tolerated on
 read; bytes that are not UTF-8 are a parse error.  A file with no
-simplex lines is a parse error.
+simplex lines is a parse error, and so is a simplex line with more than
+MAX_SIMPLEX_VERTICES labels: a simplex on n vertices brings all 2^n - 1
+of its faces into the complex.
 """
 
 from __future__ import annotations
@@ -18,12 +20,15 @@ from .complexes import SimplicialComplex, build_complex, check_label
 from .errors import MalformedInputError, ParseError
 
 __all__ = [
+    "MAX_SIMPLEX_VERTICES",
     "ComplexFile",
     "parse_complex_text",
     "parse_complex_file",
     "complex_to_text",
     "write_complex_file",
 ]
+
+MAX_SIMPLEX_VERTICES = 16
 
 _SURFACE_RE = re.compile(r"#\s*surface:\s*(\S+)")
 
@@ -55,6 +60,11 @@ def parse_complex_text(text: str) -> ComplexFile:
         tokens = line.split()
         if not tokens:
             continue
+        if len(tokens) > MAX_SIMPLEX_VERTICES:
+            raise ParseError(
+                f"simplex with {len(tokens)} vertices; at most {MAX_SIMPLEX_VERTICES} are allowed",
+                line=lineno,
+            )
         seen = set()
         for t in tokens:
             try:

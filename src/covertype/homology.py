@@ -75,7 +75,9 @@ class ChainData:
         return gf2.Gf2Matrix.zero(self.count(n - 1), 0)
 
 
-@lru_cache(maxsize=None)
+# Bounded, so that a process working through many complexes keeps at
+# most this many of them (and their matrices) alive.
+@lru_cache(maxsize=16)
 def chain_data(complex_: SimplicialComplex) -> ChainData:
     return ChainData(complex_)
 

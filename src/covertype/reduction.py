@@ -7,6 +7,38 @@ with the Betti numbers after each step.  The final complex is pure
 2-dimensional with no free faces, so counting arguments on its f-vector
 certify the vertex lower bound rho for anything homotopy equivalent to
 the surface.
+
+Each stage applies its moves in place to a WorkingComplex and takes a
+frozen SimplicialComplex snapshot only at its end and before each edge
+contraction; the next stage starts from that snapshot and is handed
+its Betti numbers.  Every recorded Betti entry is exact: it comes from
+a rank update whose witness is checked on the spot.
+
+- Collapse of (f, c), dim f = k: c has no coface and f has no strict
+  coface but c, so row f of d_(k+1) is a single 1 in column c and
+  rank d_(k+1) falls by exactly 1; the boundary of f is the sum of the
+  boundaries of the other facets of c, which stay, so rank d_k does
+  not move.  The Betti numbers are unchanged (the top one, then 0,
+  goes when c was the last simplex of its dimension).
+- Excision of sigma with evidence z: d_2 z = 0, z lies on the current
+  triangles and contains sigma, so column sigma of d_2 is a sum of
+  other columns: rank d_2 stays and b_2 falls by 1.
+- Edge contraction (rare): the Betti numbers are recomputed from
+  scratch.
+- Seam: betti_numbers of the snapshot must equal the tracked numbers,
+  else InconsistencyError.
+
+The excisions are read off one canonical basis, the reduced-echelon
+rows r_0, r_1, ... of im d_3 in the ambient complex, pivots ascending:
+excision i deletes the pivot triangle of r_i, with r_i as its
+evidence.  That is what the from-scratch search surplus_cycle picks at
+each step: once the pivots of r_0..r_(i-1) are gone, the 2-cycles on
+the remaining triangles that bound in the ambient complex are exactly
+the span of r_i, r_(i+1), ..., whose reduced basis starts with r_i.
+surplus_cycle itself runs once per excision stage, to check row 0.
+
+Cup-product regularity (property A) is computed only where a result
+uses it: the contraction gate and the final trace.
 """
 
 from __future__ import annotations
@@ -16,7 +48,9 @@ from dataclasses import dataclass
 from .cohomology import has_property_A
 from .complexes import (
     MoveRecord,
+    Simplex,
     SimplicialComplex,
+    WorkingComplex,
     collapse_free_face,
     contract_edge,
     remove_two_simplex,
@@ -27,7 +61,14 @@ from .errors import (
     PreconditionError,
     StageError,
 )
-from .homology import betti_numbers, h2_epi_witness, homology_basis, surplus_cycle
+from .gf2 import Gf2Vector, image_basis
+from .homology import (
+    betti_numbers,
+    chain_data,
+    h2_epi_witness,
+    homology_basis,
+    surplus_cycle,
+)
 from .surfaces import SurfaceClass, rho
 
 __all__ = [
@@ -47,14 +88,15 @@ class ReductionTrace:
 
     betti_steps[0] holds the Betti numbers of the initial complex and
     betti_steps[i] those after the i-th move, so the audit data always
-    has one more entry than there are moves.
+    has one more entry than there are moves.  property_a_final is None
+    for a stage run without it (the pipeline's inner stages).
     """
 
     initial_f: tuple[int, ...]
     final_f: tuple[int, ...]
     moves: tuple[MoveRecord, ...]
     betti_steps: tuple[tuple[int, ...], ...]
-    property_a_final: bool
+    property_a_final: bool | None
 
     def __post_init__(self) -> None:
         if len(self.betti_steps) != len(self.moves) + 1:
@@ -68,7 +110,7 @@ class ReductionTrace:
 
 
 def _same_betti(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    # a collapse may drop the dimension, shortening the tuple; trailing
+    # a move may drop the dimension, shortening the tuple; trailing
     # zeros carry no homology
     n = max(len(a), len(b))
     return a + (0,) * (n - len(a)) == b + (0,) * (n - len(b))
@@ -86,40 +128,134 @@ def _concat_traces(first: ReductionTrace, second: ReductionTrace) -> ReductionTr
     )
 
 
+def _facets(s: Simplex) -> list[Simplex]:
+    return [s[:i] + s[i + 1 :] for i in range(len(s))] if len(s) > 1 else []
+
+
+def _is_collapse_witness(work: WorkingComplex, face: Simplex, coface: Simplex) -> bool:
+    """Row face of the boundary matrix is a single 1, at column coface,
+    and the boundary of face is the sum of the boundaries of the other
+    facets of coface, all present."""
+    others = [g for g in _facets(coface) if g != face]
+    boundary = set(_facets(face))
+    for g in others:
+        boundary.symmetric_difference_update(_facets(g))
+    return (
+        work.strict_coface_count(coface) == 0
+        and work.strict_coface_count(face) == 1
+        and work.facet_cofaces(face) == {coface}
+        and not boundary
+        and all(g in work for g in others)
+    )
+
+
+class _Run:
+    """A reduction in progress: the working complex, the moves and Betti
+    entries recorded so far, and the last snapshot whose Betti numbers
+    are known to be the tracked ones (None after a move)."""
+
+    def __init__(
+        self,
+        start: SimplicialComplex,
+        betti: tuple[int, ...] | None = None,
+        checked: bool = True,
+    ):
+        self.work = WorkingComplex(start)
+        self.initial_f = start.f_vector
+        self.moves: list[MoveRecord] = []
+        self.betti_steps = [betti_numbers(start) if betti is None else betti]
+        self._snapshot = start if checked else None
+
+    @property
+    def betti(self) -> tuple[int, ...]:
+        return self.betti_steps[-1]
+
+    def _record(self, record: MoveRecord, betti: tuple[int, ...]) -> None:
+        self.moves.append(record)
+        self.betti_steps.append(betti)
+        self._snapshot = None
+
+    def snapshot(self) -> SimplicialComplex:
+        """Freeze the working complex at a seam and check the tracked
+        Betti numbers against it from scratch."""
+        if self._snapshot is None:
+            frozen = self.work.freeze()
+            actual = betti_numbers(frozen)
+            if actual != self.betti:
+                raise InconsistencyError(
+                    f"tracked Betti numbers {self.betti} differ from the recomputed {actual}"
+                )
+            self._snapshot = frozen
+        return self._snapshot
+
+    def trace(self, final: SimplicialComplex, property_a: bool | None) -> ReductionTrace:
+        return ReductionTrace(
+            self.initial_f, final.f_vector, tuple(self.moves), tuple(self.betti_steps), property_a
+        )
+
+    def excise(self, ambient: SimplicialComplex, basis: list[Gf2Vector]) -> None:
+        """Delete the pivot triangle of each basis row of im d_3, the row
+        as evidence; each must be a 2-cycle on the current triangles."""
+        data = chain_data(ambient)
+        d2, triangles = data.boundary_matrix(2), data.simplices[2]
+        for z in basis:
+            cycle = tuple(triangles[i] for i in z.support())
+            if not (d2 @ z).is_zero() or any(t not in self.work for t in cycle):
+                raise InconsistencyError(f"{cycle} is not a 2-cycle on the current triangles")
+            _, record = remove_two_simplex(self.work, cycle[0], aux=cycle)
+            b0, b1, b2 = self.betti
+            self._record(record, (b0, b1, b2 - 1))
+
+    def collapse(self) -> None:
+        """Collapse free faces until none remain, smallest pair first."""
+        work = self.work
+        while (pair := work.smallest_free_face()) is not None:
+            face, coface = pair
+            if not _is_collapse_witness(work, face, coface):
+                raise InconsistencyError(f"collapse of {face} into {coface} has no valid witness")
+            _, record = collapse_free_face(work, face)
+            betti = self.betti
+            if any(betti[work.dim + 1 :]):
+                raise InconsistencyError(f"collapse of {face} dropped a dimension with homology")
+            self._record(record, betti[: work.dim + 1])
+
+    def contract(self) -> None:
+        """Contract maximal edges, smallest first, and re-collapse after
+        each, until none remain."""
+        while (edge := self.work.smallest_maximal_edge()) is not None:
+            current, record = contract_edge(self.snapshot(), edge)
+            step = betti_numbers(current)
+            if not _same_betti(step, self.betti):
+                raise InconsistencyError(
+                    f"contraction of {edge} changed the Betti numbers {self.betti} -> {step}"
+                )
+            self._record(record, step)
+            self.work, self._snapshot = WorkingComplex(current), current
+            self.collapse()
+
+
 def collapse_all(
     complex_: SimplicialComplex,
+    *,
+    betti: tuple[int, ...] | None = None,
+    property_a: bool = True,
 ) -> tuple[SimplicialComplex, ReductionTrace]:
     """Collapse free faces until none remain, lexicographically smallest
     face first.  Each elementary collapse is a homotopy equivalence, so
-    the Betti numbers are asserted constant along the way."""
-    current = complex_
-    moves: list[MoveRecord] = []
-    betti_steps = [betti_numbers(current)]
-    while True:
-        pairs = current.free_faces()
-        if not pairs:
-            break
-        face, _ = pairs[0]
-        current, record = collapse_free_face(current, face)
-        moves.append(record)
-        step = betti_numbers(current)
-        if not _same_betti(step, betti_steps[-1]):
-            raise InconsistencyError(
-                f"collapse of {face} changed the Betti numbers {betti_steps[-1]} -> {step}"
-            )
-        betti_steps.append(step)
-    trace = ReductionTrace(
-        complex_.f_vector,
-        current.f_vector,
-        tuple(moves),
-        tuple(betti_steps),
-        has_property_A(current),
-    )
-    return current, trace
+    the Betti numbers stay constant along the way.
+
+    betti, when given, are the known Betti numbers of complex_ (a
+    pipeline passes the last entry of the previous stage's trace); with
+    property_a False the trace's property_a_final is left None.
+    """
+    run = _Run(complex_, betti)
+    run.collapse()
+    final = run.snapshot()
+    return final, run.trace(final, has_property_A(final) if property_a else None)
 
 
 def eliminate_maximal_edges(
-    complex_: SimplicialComplex,
+    complex_: SimplicialComplex, *, betti: tuple[int, ...] | None = None
 ) -> tuple[SimplicialComplex, ReductionTrace]:
     """Contract maximal edges (and re-collapse) until none remain.
 
@@ -129,98 +265,69 @@ def eliminate_maximal_edges(
     Without 2-cycles every cup product vanishes and the check carries
     no information, so each edge is vetted only by the path test inside
     contract_edge, which raises PropertyAViolationError on failure.
+    betti, when given, are the known Betti numbers of complex_.
     """
-    if complex_.free_faces():
+    run = _Run(complex_, betti)
+    if run.work.smallest_free_face() is not None:
         raise PreconditionError("eliminate_maximal_edges expects a complex with no free faces")
-    betti0 = betti_numbers(complex_)
-    if len(betti0) > 2 and betti0[2] >= 1 and not has_property_A(complex_):
-        raise PreconditionError(
-            "complex has 2-cycles but lacks cup-product regularity; contraction is not justified"
-        )
-    current = complex_
-    moves: list[MoveRecord] = []
-    betti_steps = [betti0]
-    while True:
-        maximal_edges = [
-            e for e in current.simplices(1) if not current._facet_cofaces[e]
-        ]
-        if not maximal_edges:
-            break
-        edge = maximal_edges[0]
-        current, record = contract_edge(current, edge)
-        moves.append(record)
-        step = betti_numbers(current)
-        if not _same_betti(step, betti_steps[-1]):
-            raise InconsistencyError(
-                f"contraction of {edge} changed the Betti numbers {betti_steps[-1]} -> {step}"
+    regular = None
+    if len(run.betti) > 2 and run.betti[2] >= 1:
+        regular = has_property_A(complex_)
+        if not regular:
+            raise PreconditionError(
+                "complex has 2-cycles but lacks cup-product regularity; contraction is not justified"
             )
-        betti_steps.append(step)
-        current, sub = collapse_all(current)
-        moves.extend(sub.moves)
-        betti_steps.extend(sub.betti_steps[1:])
-    trace = ReductionTrace(
-        complex_.f_vector,
-        current.f_vector,
-        tuple(moves),
-        tuple(betti_steps),
-        has_property_A(current),
-    )
-    return current, trace
+    run.contract()
+    final = run.snapshot()
+    if final is not complex_ or regular is None:
+        regular = has_property_A(final)
+    return final, run.trace(final, regular)
 
 
 def excise_to_surface_homology(
     complex_: SimplicialComplex,
+    *,
+    betti: tuple[int, ...] | None = None,
+    property_a: bool = True,
 ) -> tuple[SimplicialComplex, ReductionTrace]:
     """Cut the 2-skeleton down to a single 2-cycle class.
 
     Requires b2 = 1.  While the 2-skeleton has extra second homology,
-    find a 2-cycle that bounds in the ambient complex, delete the
-    lexicographically smallest triangle in its support, and record the
-    cycle as evidence; each excision lowers b2 by exactly one and
-    leaves b0, b1 alone.  Afterwards a cycle generating H_2 of the
-    ambient complex is re-homed inside the result as a final check.
+    delete the lowest triangle of a 2-cycle that bounds in the ambient
+    complex, and record the cycle as evidence; each excision lowers b2
+    by exactly one and leaves b0, b1 alone.  Afterwards a cycle
+    generating H_2 of the ambient complex is re-homed inside the result
+    as a final check.  betti and property_a act as in collapse_all.
     """
-    ambient_betti = betti_numbers(complex_)
+    ambient_betti = betti_numbers(complex_) if betti is None else betti
     if len(ambient_betti) < 3 or ambient_betti[2] != 1:
         raise PreconditionError(
             f"excision expects one-dimensional H_2, found Betti numbers {ambient_betti}"
         )
-    current = complex_.skeleton(2)
-    moves: list[MoveRecord] = []
-    betti_steps = [betti_numbers(current)]
-    while betti_numbers(current)[2] > 1:
-        found = surplus_cycle(complex_, current.simplices(2))
-        if found is None:
-            raise InconsistencyError(
-                "2-skeleton has surplus homology but no cycle bounds in the ambient complex"
-            )
-        cycle, sigma = found
-        current, record = remove_two_simplex(current, sigma, aux=cycle)
-        moves.append(record)
-        step = betti_numbers(current)
-        prev = betti_steps[-1]
-        if step[:2] != prev[:2] or step[2] != prev[2] - 1:
-            raise InconsistencyError(
-                f"excision of {sigma} moved the Betti numbers {prev} -> {step}"
-            )
-        betti_steps.append(step)
-    if betti_steps[-1][:3] != ambient_betti[:3]:
+    skeleton = complex_.skeleton(2)
+    basis = image_basis(chain_data(complex_).boundary_matrix(3))
+    if basis:
+        # with every triangle kept, the from-scratch search must pick row 0
+        triangles = skeleton.simplices(2)
+        first = tuple(triangles[i] for i in basis[0].support())
+        if surplus_cycle(complex_, triangles) != (first, first[0]):
+            raise InconsistencyError("the surplus-cycle search and the im d_3 basis disagree")
+    b0, b1, b2 = ambient_betti[:3]
+    # rank d_3 = len(basis), so the skeleton has that many more 2-cycles;
+    # with no 3-simplex the skeleton is the complex itself
+    run = _Run(skeleton, (b0, b1, b2 + len(basis)), checked=not basis)
+    run.excise(complex_, basis)
+    current = run.snapshot()
+    if run.betti != ambient_betti[:3]:
         raise InconsistencyError(
-            f"excised skeleton has Betti numbers {betti_steps[-1]}, ambient complex {ambient_betti[:3]}"
+            f"excised skeleton has Betti numbers {run.betti}, ambient complex {ambient_betti[:3]}"
         )
     generator = homology_basis(complex_, 2)[0]
     if h2_epi_witness(complex_, current, generator) is None:
         raise InconsistencyError(
             "no cycle inside the excised skeleton represents the ambient H_2 generator"
         )
-    trace = ReductionTrace(
-        complex_.skeleton(2).f_vector,
-        current.f_vector,
-        tuple(moves),
-        tuple(betti_steps),
-        has_property_A(current),
-    )
-    return current, trace
+    return current, run.trace(current, has_property_A(current) if property_a else None)
 
 
 @dataclass(frozen=True)
@@ -292,14 +399,18 @@ def reduce_to_certificate(
             )
 
         stage = "excision"
-        skeleton_complex, trace = excise_to_surface_homology(complex_)
+        skeleton_complex, trace = excise_to_surface_homology(
+            complex_, betti=actual, property_a=False
+        )
 
         stage = "collapse"
-        collapsed, collapse_trace = collapse_all(skeleton_complex)
+        collapsed, collapse_trace = collapse_all(
+            skeleton_complex, betti=trace.betti_steps[-1], property_a=False
+        )
         trace = _concat_traces(trace, collapse_trace)
 
         stage = "contraction"
-        final, contract_trace = eliminate_maximal_edges(collapsed)
+        final, contract_trace = eliminate_maximal_edges(collapsed, betti=trace.betti_steps[-1])
         trace = _concat_traces(trace, contract_trace)
 
         stage = "certificate"

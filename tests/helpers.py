@@ -1,7 +1,8 @@
 """Builders for the randomized test corpus: homotopy-preserving
 thickenings of the bundled surfaces (stellar subdivisions, coned-on
 tetrahedra, edge flaps, a dunce hat on a bridge) and small random
-complexes for oracle comparisons."""
+complexes for oracle comparisons; and a from-scratch replay of a
+reduction trace."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import itertools
 import random
 
 import covertype as ct
+from covertype.complexes import COLLAPSE, CONTRACTION, EXCISION
 
 SURFACE_FILES = (
     ("sphere_4", ct.SurfaceClass(True, 0)),
@@ -166,3 +168,31 @@ def random_small_complex(rng, labels="abcdefghijkl"):
         size = rng.randint(1, min(4, n))
         faces.append(rng.sample(verts, size))
     return ct.build_complex(faces)
+
+
+def replay_from_scratch(complex_, trace):
+    """Replay every move of a reduction of complex_ on frozen complexes
+    with apply_move, recomputing each step from scratch: the Betti
+    numbers after it, the free face a collapse must take (the
+    smallest), the excision the surplus-cycle search picks, and the
+    maximal edge a contraction must take.  Returns the final complex."""
+    current = complex_.skeleton(2)
+    assert current.f_vector == trace.initial_f
+    assert ct.betti_numbers(current) == trace.betti_steps[0]
+    for move, betti in zip(trace.moves, trace.betti_steps[1:]):
+        if move.kind == COLLAPSE:
+            assert current.free_faces()[0] == move.simplices
+        elif move.kind == EXCISION:
+            found = ct.surplus_cycle(complex_, current.simplices(2))
+            assert found == (move.aux, move.simplices[0])
+        elif move.kind == CONTRACTION:
+            assert not current.free_faces()
+            maximal = [e for e in current.simplices(1) if not current._facet_cofaces[e]]
+            assert maximal[0] == move.simplices[0]
+        else:
+            raise AssertionError(f"unexpected move kind {move.kind}")
+        current = ct.apply_move(current, move)
+        assert ct.betti_numbers(current) == betti
+    assert current.f_vector == trace.final_f
+    assert ct.has_property_A(current) == trace.property_a_final
+    return current

@@ -26,7 +26,12 @@ from covertype.homology import chain_data, chain_vector, homology_basis
 from covertype.reduction import reduce_to_certificate
 from covertype.surfaces import SurfaceClass, classify_surface, check_closed_surface
 
-from helpers import dunce_hat, random_small_complex, randomized_thickening
+from helpers import (
+    dunce_hat,
+    random_small_complex,
+    randomized_thickening,
+    replay_from_scratch,
+)
 from oracles import betti_oracle, rho_scan
 
 
@@ -198,7 +203,7 @@ def test_criterion_3_twofold_triangle_systems():
 
 def verify_trace(complex_, trace, certificate, surface):
     """Re-check every recorded step of a reduction run from the trace
-    data alone."""
+    data, then replay it from scratch (helpers.replay_from_scratch)."""
     assert trace.initial_f == complex_.skeleton(2).f_vector
     if trace.moves:
         assert trace.moves[0].before_f == trace.initial_f
@@ -227,11 +232,13 @@ def verify_trace(complex_, trace, certificate, surface):
     assert certificate.rho == rho_scan(certificate.chi)
     assert a0 >= certificate.rho
     assert trace.property_a_final
+    assert replay_from_scratch(complex_, trace).f_vector == certificate.f_vector
 
 
 def test_criterion_4_randomized_pipeline_runs():
     """At least 50 randomized thickenings reduced with every recorded
-    step re-verified and every certificate inequality re-checked."""
+    step re-verified, replayed and recomputed from scratch, and every
+    certificate inequality re-checked."""
     runs = 0
     for seed in range(50):
         k, surface, log = randomized_thickening(seed)

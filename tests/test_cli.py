@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -307,6 +308,19 @@ def test_non_utf8_file_is_a_parse_error(argv, tmp_path, capsys):
     assert err.startswith("error: line 2: not valid UTF-8")
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "out.cplx").exists()
+
+
+def test_oversized_simplex_line_is_a_parse_error(tmp_path, capsys):
+    # 40 labels would put 2^40 - 1 faces into the complex
+    big = tmp_path / "big.cplx"
+    big.write_text("a b c\n" + " ".join(f"v{i}" for i in range(40)) + "\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--machine", "homology", big)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 2: simplex with 40 vertices")
+    assert len(err.splitlines()) == 1
 
 
 def test_sha256_is_of_the_parsed_bytes(tmp_path, capsys):

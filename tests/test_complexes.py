@@ -4,6 +4,7 @@ audited moves with their replay."""
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -15,6 +16,7 @@ from covertype.complexes import (
     IDENTIFICATION,
     MoveRecord,
     SimplicialComplex,
+    WorkingComplex,
 )
 from covertype.errors import (
     InconsistencyError,
@@ -23,6 +25,8 @@ from covertype.errors import (
     PreconditionError,
     PropertyAViolationError,
 )
+
+from helpers import random_small_complex
 
 
 def test_make_simplex_canonical_form():
@@ -36,6 +40,8 @@ def test_make_simplex_canonical_form():
         ct.make_simplex(("a", "b c"))
     with pytest.raises(MalformedInputError):
         ct.make_simplex(("a", ""))
+    with pytest.raises(MalformedInputError):
+        ct.make_simplex(("a", "b#c"))  # would read back as a comment
 
 
 def test_build_complex_closure():
@@ -302,3 +308,42 @@ def test_apply_move_rejects_wrong_state():
     bogus = MoveRecord("warp", (("a", "b"),), k.f_vector, k.f_vector)
     with pytest.raises(PreconditionError):
         ct.apply_move(k, bogus)
+
+
+def test_working_complex_follows_the_frozen_moves():
+    """In-place excisions and collapses give the same records and
+    complexes as the frozen moves, and the heap always offers
+    free_faces()[0]."""
+    rng = random.Random(2013)
+    for _ in range(60):
+        frozen = random_small_complex(rng)
+        work = WorkingComplex(frozen)
+        tops = [t for t in frozen.simplices(2) if not frozen._facet_cofaces[t]]
+        if tops:
+            t = rng.choice(tops)
+            assert ct.remove_two_simplex(work, t, aux=(t,))[1] == (
+                ct.remove_two_simplex(frozen, t, aux=(t,))[1]
+            )
+            frozen = work.freeze()
+        while True:
+            pairs = frozen.free_faces()
+            assert work.smallest_free_face() == (pairs[0] if pairs else None)
+            if not pairs:
+                break
+            same, record = ct.collapse_free_face(work, pairs[0][0])
+            frozen, expected = ct.collapse_free_face(frozen, pairs[0][0])
+            assert same is work and record == expected
+            assert work.freeze() == frozen and work.f_vector == frozen.f_vector
+        maximal = [e for e in frozen.simplices(1) if not frozen._facet_cofaces[e]]
+        assert work.smallest_maximal_edge() == (maximal[0] if maximal else None)
+
+
+def test_working_complex_rejects_invalid_moves():
+    work = WorkingComplex(ct.build_complex([("a", "b", "c", "d")]))
+    with pytest.raises(PreconditionError):
+        ct.remove_two_simplex(work, ("a", "b", "c"))  # lies in the 3-simplex
+    with pytest.raises(PreconditionError):
+        ct.collapse_free_face(work, ("a", "b"))  # in two triangles and the 3-simplex
+    with pytest.raises(NotFoundError):
+        ct.collapse_free_face(work, ("a", "z"))
+    assert work.f_vector == (4, 6, 4, 1)

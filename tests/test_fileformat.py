@@ -9,6 +9,7 @@ import pytest
 
 import covertype as ct
 from covertype.fileformat import (
+    MAX_SIMPLEX_VERTICES,
     complex_to_text,
     parse_complex_file,
     parse_complex_text,
@@ -133,3 +134,12 @@ def test_non_utf8_bytes_are_a_parse_error(tmp_path):
     with pytest.raises(ParseError) as info:
         parse_complex_file(path)
     assert info.value.line == 3
+
+
+def test_simplex_lines_are_capped():
+    labels = [f"v{i}" for i in range(MAX_SIMPLEX_VERTICES + 1)]
+    at_cap = parse_complex_text(" ".join(labels[:-1]) + "\n")
+    assert len(at_cap.maximal_simplices[0]) == MAX_SIMPLEX_VERTICES
+    with pytest.raises(ParseError) as info:
+        parse_complex_text("a b\n" + " ".join(labels) + "\n")
+    assert info.value.line == 2

@@ -1,6 +1,8 @@
-"""Pinned outputs: the CLI's `reduce --machine` stdout and reduced
-complex for fixed-seed thickenings, and the chosen homology bases,
-H^1 cocycle bases and property-A witnesses of the bundled complexes.
+"""Pinned outputs: the CLI's `reduce --machine` stdout, the reduced
+complex and the whole reduction trace (every move with its evidence,
+the Betti numbers after each step, property A of the result) for
+fixed-seed thickenings, and the chosen homology bases, H^1 cocycle
+bases and property-A witnesses of the bundled complexes.
 
 These are part of the output contract (deterministic tie-breaking in
 the linear algebra decides which cycles, witnesses and excisions are
@@ -33,6 +35,7 @@ from helpers import (
     barycentric_subdivision,
     glue_tetrahedron,
     randomized_thickening,
+    replay_from_scratch,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -94,6 +97,31 @@ def _lines(chain):
     return [" ".join(s) for s in chain]
 
 
+def _ints(values):
+    return " ".join(str(v) for v in values)
+
+
+def trace_document(trace):
+    """A ReductionTrace as JSON data: simplices as space-joined labels,
+    f-vectors and Betti numbers as space-joined integers."""
+    return {
+        "initial_f": _ints(trace.initial_f),
+        "final_f": _ints(trace.final_f),
+        "moves": [
+            {
+                "kind": m.kind,
+                "simplices": _lines(m.simplices),
+                "before_f": _ints(m.before_f),
+                "after_f": _ints(m.after_f),
+                "aux": _lines(m.aux),
+            }
+            for m in trace.moves
+        ],
+        "betti_steps": [_ints(b) for b in trace.betti_steps],
+        "property_a_final": trace.property_a_final,
+    }
+
+
 def bases_document():
     """Homology bases, H^1 cocycle bases and property-A witnesses of
     every bundled complex and its first subdivision, as JSON data."""
@@ -132,6 +160,15 @@ def test_reduce_output_is_pinned(case, reduce_golden, tmp_path):
     assert written == reduce_golden[case]["output"]
 
 
+@pytest.mark.parametrize("case", [c[0] for c in reduce_cases()])
+def test_reduce_trace_is_pinned(case, reduce_golden):
+    """The whole trace is pinned, and every step of it replays from scratch."""
+    _, complex_, surface = next(c for c in reduce_cases() if c[0] == case)
+    final, trace, _ = ct.reduce_to_certificate(complex_, surface)
+    assert trace_document(trace) == reduce_golden[case]["trace"]
+    assert replay_from_scratch(complex_, trace) == final
+
+
 def test_bases_and_witnesses_are_pinned():
     assert _dump(bases_document()) == BASES_FILE.read_text("utf-8")
 
@@ -149,7 +186,8 @@ def _record() -> None:
     for name, complex_, surface in reduce_cases():
         with tempfile.TemporaryDirectory() as work:
             stdout, written = run_reduce(complex_, surface, work)
-        reduce_doc[name] = {"stdout": stdout, "output": written}
+        _, trace, _ = ct.reduce_to_certificate(complex_, surface)
+        reduce_doc[name] = {"stdout": stdout, "output": written, "trace": trace_document(trace)}
     REDUCE_FILE.write_text(_dump(reduce_doc), encoding="utf-8")
     BASES_FILE.write_text(_dump(bases_document()), encoding="utf-8")
 

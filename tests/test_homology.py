@@ -3,6 +3,7 @@ cycle bases, surplus-cycle search, and the H_2 re-homing witness."""
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 
@@ -220,3 +221,18 @@ def test_h2_epi_witness_failure_cases():
 
 def test_chain_data_is_cached(torus):
     assert chain_data(torus) is chain_data(torus)
+
+
+def test_repeated_reductions_keep_memory_flat():
+    """20 different reductions: the chain-data cache and the number of
+    live complexes stop growing once the cache is full."""
+    entries, live = [], []
+    for seed in range(20):
+        k, surface, _ = randomized_thickening(seed)
+        ct.reduce_to_certificate(k, surface)
+        del k
+        gc.collect()
+        entries.append(chain_data.cache_info().currsize)
+        live.append(sum(isinstance(o, ct.SimplicialComplex) for o in gc.get_objects()))
+    assert max(entries[10:]) <= max(entries[:10]) <= chain_data.cache_info().maxsize
+    assert max(live[10:]) <= max(live[:10])
