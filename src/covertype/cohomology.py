@@ -15,7 +15,7 @@ duality, and the reduction pipeline leans on it staying true.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import gf2
 from .complexes import SimplicialComplex
@@ -99,11 +99,13 @@ def cochain_support(complex_: SimplicialComplex, cochain: Cochain):
 @dataclass(frozen=True)
 class PairingTensor:
     """entries[i][j][k] = (alpha_i . alpha_j) evaluated on the k-th
-    2-cycle representative; shape (b1, b1, b2)."""
+    2-cycle representative; shape (b1, b1, b2).  classes holds the
+    cocycles alpha_i, from h1_cocycle_basis."""
 
     b1: int
     b2: int
     entries: tuple[tuple[tuple[int, ...], ...], ...]
+    classes: tuple[Cochain, ...] = field(default=(), compare=False, repr=False)
 
     def flattened(self) -> gf2.Gf2Matrix:
         """b1 x (b1*b2) matrix whose row i lists all pairings of the
@@ -132,7 +134,7 @@ def pairing_tensor(complex_: SimplicialComplex) -> PairingTensor:
             product = cup_1_1(complex_, a, b)
             row.append(tuple(product.values.dot(z) for z in cycles))
         entries.append(tuple(row))
-    return PairingTensor(len(classes), len(cycles), tuple(entries))
+    return PairingTensor(len(classes), len(cycles), tuple(entries), classes)
 
 
 def has_property_A(complex_: SimplicialComplex) -> bool:
@@ -147,16 +149,23 @@ def has_property_A(complex_: SimplicialComplex) -> bool:
     return gf2.rank(tensor.flattened()) == tensor.b1
 
 
-def property_a_witness(complex_: SimplicialComplex) -> Cochain | None:
+def property_a_witness(
+    complex_: SimplicialComplex, *, tensor: PairingTensor | None = None
+) -> Cochain | None:
     """A cocycle representing a nonzero class all of whose cup products
-    vanish, or None when the complex has property A."""
-    tensor = pairing_tensor(complex_)
+    vanish, or None when the complex has property A.  tensor is the
+    complex's pairing_tensor when the caller already has it."""
+    if tensor is None:
+        tensor = pairing_tensor(complex_)
     if tensor.b1 == 0:
         return None
+    classes = tensor.classes
+    if len(classes) != tensor.b1:
+        raise PreconditionError("the pairing tensor does not carry its H^1 classes")
+    _check_degree_one(complex_, classes[0])
     kernel = gf2.kernel_basis(tensor.flattened())
     if not kernel:
         return None
-    classes = h1_cocycle_basis(complex_)
     coefficients = kernel[0]
     bits = 0
     for i in coefficients.support():

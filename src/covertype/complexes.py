@@ -536,7 +536,8 @@ def identify_vertices(
         raise PreconditionError("vertex identification is only defined in dimension <= 2")
     if make_simplex((va, vb)) in complex_:
         raise PreconditionError(f"{va} and {vb} are adjacent; identification needs non-adjacent vertices")
-    shared = sorted(set(complex_.link(va).vertices) & set(complex_.link(vb).vertices))
+    # a vertex's neighbours are exactly the vertices of its link
+    shared = sorted(set(complex_._adjacency[va]) & set(complex_._adjacency[vb]))
     if shared:
         raise PreconditionError(f"links of {va} and {vb} share vertices {shared}; they must be disjoint")
     keep, drop = sorted((va, vb))

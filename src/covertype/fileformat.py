@@ -7,7 +7,10 @@ are ignored.  Files are UTF-8, written with LF; CRLF is tolerated on
 read; bytes that are not UTF-8 are a parse error.  A file with no
 simplex lines is a parse error, and so is a simplex line with more than
 MAX_SIMPLEX_VERTICES labels: a simplex on n vertices brings all 2^n - 1
-of its faces into the complex.
+of its faces into the complex.  For the same reason a file whose lines
+bring more than MAX_CLOSURE_FACES faces in all is a parse error: each
+line of n labels counts 2^n - 1, a face on two lines counts twice, and
+the count is made while parsing, before any closure is built.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .errors import MalformedInputError, ParseError
 
 __all__ = [
     "MAX_SIMPLEX_VERTICES",
+    "MAX_CLOSURE_FACES",
     "ComplexFile",
     "parse_complex_text",
     "parse_complex_file",
@@ -29,6 +33,8 @@ __all__ = [
 ]
 
 MAX_SIMPLEX_VERTICES = 16
+# one line of 16 labels; a twice-subdivided surface counts under 7k
+MAX_CLOSURE_FACES = 1 << 16
 
 _SURFACE_RE = re.compile(r"#\s*surface:\s*(\S+)")
 
@@ -49,6 +55,7 @@ class ComplexFile:
 def parse_complex_text(text: str) -> ComplexFile:
     surface: str | None = None
     simplices: list[tuple[str, ...]] = []
+    faces = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw
         if "#" in line:
@@ -63,6 +70,13 @@ def parse_complex_text(text: str) -> ComplexFile:
         if len(tokens) > MAX_SIMPLEX_VERTICES:
             raise ParseError(
                 f"simplex with {len(tokens)} vertices; at most {MAX_SIMPLEX_VERTICES} are allowed",
+                line=lineno,
+            )
+        faces += (1 << len(tokens)) - 1
+        if faces > MAX_CLOSURE_FACES:
+            raise ParseError(
+                f"the simplices up to here bring over {MAX_CLOSURE_FACES} faces;"
+                " at most that many are allowed",
                 line=lineno,
             )
         seen = set()

@@ -10,6 +10,14 @@ attained by any triangulation.  The covering type equals delta for
 every closed surface except orientable genus 2, where a 9-vertex
 complex homotopy equivalent to the surface exists even though no
 9-vertex triangulation does; build_nine_vertex_m2 constructs it.
+
+check_closed_surface makes one sweep over the simplices, linear in the
+size of the complex: the maximal simplices and the triangle count of
+each edge come from the codimension-1 coface table, and each vertex
+link is assembled from the triangles on the vertex (its vertices are
+the vertex's neighbours), then tested with one degree count and one
+traversal.  classify_surface runs the check once and then propagates
+orientations; orientable is the same propagation behind its own check.
 """
 
 from __future__ import annotations
@@ -120,38 +128,61 @@ class SurfaceCheckReport:
         )
 
 
-def _link_is_single_circle(link: SimplicialComplex) -> bool:
-    if link.dim != 1:
+def _link_is_single_circle(
+    neighbours: tuple[str, ...], link_edges: list[tuple[str, str]], in_tetrahedron: bool
+) -> bool:
+    """Is the link of a vertex one circle?  The link's vertices are the
+    vertex's neighbours and its edges come from the triangles on the
+    vertex; a vertex of a 3-simplex has a link of dimension >= 2."""
+    if in_tetrahedron or not link_edges:
         return False
-    a0, a1 = link.f_vector
-    if a0 != a1 or a0 < 3:
+    around: dict[str, list[str]] = {w: [] for w in neighbours}
+    for a, b in link_edges:
+        around[a].append(b)
+        around[b].append(a)
+    # every vertex of degree 2: a disjoint union of circles, and one
+    # circle iff connected
+    if any(len(ws) != 2 for ws in around.values()):
         return False
-    for v in link.vertices:
-        if len(link._adjacency[v]) != 2:
-            return False
-    # 2-regular and as many edges as vertices: connected iff one cycle
-    start = link.vertices[0]
-    return all(link.path_exists(start, v) for v in link.vertices)
+    start = link_edges[0][0]
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in around[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(around)
 
 
 def check_closed_surface(complex_: SimplicialComplex) -> SurfaceCheckReport:
-    """Check the combinatorial closed-surface conditions one by one."""
+    """Check the four closed-surface conditions, with witnesses for
+    whichever ones fail, in one sweep over the simplices."""
     if complex_.is_empty:
         return SurfaceCheckReport(False, False, False, False)
-    bad_max = tuple(s for s in complex_.maximal_simplices() if len(s) != 3)
+    cofaces = complex_._facet_cofaces
+    bad_max = tuple(sorted(s for s, cof in cofaces.items() if not cof and len(s) != 3))
     pure = complex_.dim == 2 and not bad_max
     bad_edges = []
     for e in complex_.simplices(1):
-        c = complex_.edge_triangle_count(e)
+        c = len(cofaces[e])
         if c != 2:
             bad_edges.append((e, c))
     two_tris = complex_.dim >= 1 and not bad_edges and bool(complex_.simplices(1))
     comps = complex_.strongly_connected_components()
     connected = len(comps) == 1
-    bad_vertices = []
-    for v in complex_.vertices:
-        if not _link_is_single_circle(complex_.link(v)):
-            bad_vertices.append(v)
+    link_edges: dict[str, list[tuple[str, str]]] = {v: [] for v in complex_.vertices}
+    for a, b, c in complex_.simplices(2):
+        link_edges[a].append((b, c))
+        link_edges[b].append((a, c))
+        link_edges[c].append((a, b))
+    in_tetrahedron = {v for s in complex_.simplices(3) for v in s}
+    adjacency = complex_._adjacency
+    bad_vertices = [
+        v
+        for v in complex_.vertices
+        if not _link_is_single_circle(adjacency[v], link_edges[v], v in in_tetrahedron)
+    ]
     return SurfaceCheckReport(
         pure_two_dimensional=pure,
         every_edge_in_two_triangles=two_tris,
@@ -169,6 +200,11 @@ def orientable(complex_: SimplicialComplex) -> bool:
     coherent triangle orientations across shared edges."""
     if not check_closed_surface(complex_).verdict:
         raise PreconditionError("orientability is defined here only for closed surfaces")
+    return _orientations_agree(complex_)
+
+
+def _orientations_agree(complex_: SimplicialComplex) -> bool:
+    """Orientability of a complex already checked to be a closed surface."""
     tris = complex_.simplices(2)
     position = {t: i for i, t in enumerate(tris)}
 
@@ -201,11 +237,12 @@ def orientable(complex_: SimplicialComplex) -> bool:
 
 def classify_surface(complex_: SimplicialComplex) -> SurfaceClass:
     """Homeomorphism type of a verified closed surface, from
-    orientability and the Euler characteristic."""
+    orientability and the Euler characteristic.  The surface check runs
+    once, here."""
     if not check_closed_surface(complex_).verdict:
         raise PreconditionError("classification requires a closed surface")
     chi = complex_.euler_characteristic()
-    if orientable(complex_):
+    if _orientations_agree(complex_):
         if chi > 2 or chi % 2 != 0:
             raise InconsistencyError(f"no orientable closed surface has chi = {chi}")
         return SurfaceClass(True, (2 - chi) // 2)
@@ -308,7 +345,7 @@ def build_nine_vertex_m2(triangulation: SimplicialComplex) -> SimplicialComplex:
         for b in degree_four[i + 1 :]:
             if make_simplex((a, b)) in triangulation:
                 continue
-            if set(triangulation.link(a).vertices) & set(triangulation.link(b).vertices):
+            if set(triangulation._adjacency[a]) & set(triangulation._adjacency[b]):
                 continue
             pairs.append((a, b))
     if not pairs:
@@ -328,8 +365,9 @@ def build_nine_vertex_m2(triangulation: SimplicialComplex) -> SimplicialComplex:
                     f"the remaining 8 vertices must induce a complete graph; {a},{b} missing"
                 )
     fill = None
-    for w in triangulation.link(v).vertices:
-        for w2 in triangulation.link(v2).vertices:
+    # a vertex's neighbours are exactly the vertices of its link
+    for w in triangulation._adjacency[v]:
+        for w2 in triangulation._adjacency[v2]:
             if make_simplex((w, w2)) in triangulation:
                 fill = (w, w2)
                 break

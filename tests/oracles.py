@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import itertools
 
+from covertype.surfaces import SurfaceCheckReport
+
 
 def boundary_matrix_dense(complex_, n):
     """Dense 0/1 integer boundary matrix from degree n to n-1."""
@@ -172,3 +174,45 @@ def span_bits(vectors):
     for v in vectors:
         out |= {x ^ v.bits for x in out}
     return out
+
+
+def closed_surface_reference(complex_):
+    """The closed-surface check built from one link() per vertex and one
+    path_exists search per link vertex: O(f0 * sum f) membership tests.
+    Returns the SurfaceCheckReport that check_closed_surface must give."""
+    if complex_.is_empty:
+        return SurfaceCheckReport(False, False, False, False)
+    bad_max = tuple(s for s in complex_.maximal_simplices() if len(s) != 3)
+    pure = complex_.dim == 2 and not bad_max
+    bad_edges = []
+    for e in complex_.simplices(1):
+        c = complex_.edge_triangle_count(e)
+        if c != 2:
+            bad_edges.append((e, c))
+    two_tris = complex_.dim >= 1 and not bad_edges and bool(complex_.simplices(1))
+    comps = complex_.strongly_connected_components()
+    bad_vertices = tuple(
+        v for v in complex_.vertices if not _link_is_circle_reference(complex_.link(v))
+    )
+    return SurfaceCheckReport(
+        pure_two_dimensional=pure,
+        every_edge_in_two_triangles=two_tris,
+        strongly_connected=len(comps) == 1,
+        all_links_single_circles=not bad_vertices,
+        bad_maximal_simplices=bad_max,
+        bad_edges=tuple(bad_edges),
+        bad_vertices=bad_vertices,
+        component_count=len(comps),
+    )
+
+
+def _link_is_circle_reference(link):
+    if link.dim != 1:
+        return False
+    a0, a1 = link.f_vector
+    if a0 != a1 or a0 < 3:
+        return False
+    if any(link.vertex_degree(v) != 2 for v in link.vertices):
+        return False
+    start = link.vertices[0]
+    return all(link.path_exists(start, v) for v in link.vertices)

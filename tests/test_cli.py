@@ -12,6 +12,7 @@ import pytest
 
 import covertype as ct
 from covertype.cli import main
+from covertype.fileformat import MAX_CLOSURE_FACES
 
 
 @pytest.fixture()
@@ -320,6 +321,21 @@ def test_oversized_simplex_line_is_a_parse_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: line 2: simplex with 40 vertices")
+    assert len(err.splitlines()) == 1
+
+
+def test_oversized_closure_is_a_parse_error(tmp_path, capsys):
+    # each line is within the cap, but two lines of 16 labels would
+    # build 2 * (2^16 - 1) faces
+    lines = [" ".join(f"v{j}_{i}" for i in range(16)) for j in range(2)]
+    big = tmp_path / "big.cplx"
+    big.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--machine", "homology", big)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: line 2: the simplices up to here bring over {MAX_CLOSURE_FACES}")
     assert len(err.splitlines()) == 1
 
 

@@ -9,6 +9,7 @@ import pytest
 
 import covertype as ct
 from covertype.fileformat import (
+    MAX_CLOSURE_FACES,
     MAX_SIMPLEX_VERTICES,
     complex_to_text,
     parse_complex_file,
@@ -143,3 +144,13 @@ def test_simplex_lines_are_capped():
     with pytest.raises(ParseError) as info:
         parse_complex_text("a b\n" + " ".join(labels) + "\n")
     assert info.value.line == 2
+
+
+def test_closure_size_is_capped():
+    # a 16-label line, then 1 face: exactly MAX_CLOSURE_FACES
+    lines = [" ".join(f"v{i}" for i in range(16)), "a"]
+    assert (1 << 16) - 1 + 1 == MAX_CLOSURE_FACES
+    assert len(parse_complex_text("\n".join(lines)).maximal_simplices) == 2
+    with pytest.raises(ParseError) as info:
+        parse_complex_text("\n".join(lines + ["b"]))
+    assert info.value.line == 3

@@ -1,8 +1,11 @@
 """Pinned outputs: the CLI's `reduce --machine` stdout, the reduced
 complex and the whole reduction trace (every move with its evidence,
 the Betti numbers after each step, property A of the result) for
-fixed-seed thickenings, and the chosen homology bases, H^1 cocycle
-bases and property-A witnesses of the bundled complexes.
+fixed-seed thickenings; the `--machine` stdout and exit code of the
+query commands (`homology`, `property-a`, `surface`) on the bundled
+complexes, their first subdivisions and a few non-surfaces; and the
+chosen homology bases, H^1 cocycle bases and property-A witnesses of
+the bundled complexes.
 
 These are part of the output contract (deterministic tie-breaking in
 the linear algebra decides which cycles, witnesses and excisions are
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -40,7 +44,9 @@ from helpers import (
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REDUCE_FILE = GOLDEN / "reduce.json"
+QUERY_FILE = GOLDEN / "query.json"
 BASES_FILE = GOLDEN / "bases.json"
+QUERY_COMMANDS = ("homology", "property-a", "surface")
 
 
 def _tetrahedra_on_subdivision(name, step):
@@ -91,6 +97,46 @@ def run_reduce(complex_, surface, workdir):
         os.chdir(previous)
     assert code == 0
     return out.getvalue(), written
+
+
+@lru_cache(maxsize=None)
+def query_cases():
+    """(case name, complex) for every pinned query: each bundled complex
+    and its first subdivision, then non-surfaces that fail the
+    closed-surface check in different ways."""
+    cases = []
+    for name in ct.bundled_names():
+        k = ct.load_bundled(name)
+        cases += [(name, k), (f"{name}-sd1", barycentric_subdivision(k))]
+    torus = ct.load_bundled("torus_7")
+    pinched = list(itertools.combinations("1234", 3)) + list(itertools.combinations("1567", 3))
+    cases += [
+        ("pinched-spheres", ct.build_complex(pinched)),
+        ("open-disk", ct.build_complex([("a", "b", "c"), ("b", "c", "d")])),
+        ("torus-with-flap", attach_flap(torus, torus.simplices(1)[0], "x")),
+        ("torus-with-tetrahedron", glue_tetrahedron(torus, torus.simplices(2)[0], "x")),
+        ("circle", ct.build_complex([("a", "b"), ("b", "c"), ("a", "c")])),
+        ("point", ct.build_complex([("a",)])),
+    ]
+    return tuple(cases)
+
+
+def run_query(complex_, workdir):
+    """{command: {"stdout", "code"}} of each `--machine` query command
+    run in workdir on the complex."""
+    (Path(workdir) / "in.cplx").write_text(ct.complex_to_text(complex_), encoding="utf-8")
+    previous = os.getcwd()
+    os.chdir(workdir)
+    runs = {}
+    try:
+        for command in QUERY_COMMANDS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["--machine", command, "in.cplx"])
+            runs[command] = {"stdout": out.getvalue(), "code": code}
+    finally:
+        os.chdir(previous)
+    return runs
 
 
 def _lines(chain):
@@ -169,6 +215,17 @@ def test_reduce_trace_is_pinned(case, reduce_golden):
     assert replay_from_scratch(complex_, trace) == final
 
 
+@pytest.fixture(scope="module")
+def query_golden():
+    return json.loads(QUERY_FILE.read_text("utf-8"))
+
+
+@pytest.mark.parametrize("case", [c[0] for c in query_cases()])
+def test_query_output_is_pinned(case, query_golden, tmp_path):
+    _, complex_ = next(c for c in query_cases() if c[0] == case)
+    assert run_query(complex_, tmp_path) == query_golden[case]
+
+
 def test_bases_and_witnesses_are_pinned():
     assert _dump(bases_document()) == BASES_FILE.read_text("utf-8")
 
@@ -189,6 +246,11 @@ def _record() -> None:
         _, trace, _ = ct.reduce_to_certificate(complex_, surface)
         reduce_doc[name] = {"stdout": stdout, "output": written, "trace": trace_document(trace)}
     REDUCE_FILE.write_text(_dump(reduce_doc), encoding="utf-8")
+    query_doc = {}
+    for name, complex_ in query_cases():
+        with tempfile.TemporaryDirectory() as work:
+            query_doc[name] = run_query(complex_, work)
+    QUERY_FILE.write_text(_dump(query_doc), encoding="utf-8")
     BASES_FILE.write_text(_dump(bases_document()), encoding="utf-8")
 
 
