@@ -105,7 +105,7 @@ def cmd_homology(args) -> int:
 def cmd_property_a(args) -> int:
     complex_, digest = _load(args.file)
     tensor = pairing_tensor(complex_)
-    witness = property_a_witness(complex_, tensor=tensor)
+    witness = property_a_witness(complex_)
     holds = witness is None
     fields = [
         ("command", "property-a"),

@@ -15,10 +15,10 @@ duality, and the reduction pipeline leans on it staying true.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import gf2
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, per_complex
 from .errors import PreconditionError
 from .homology import chain_data, chain_vector, homology_basis
 
@@ -72,6 +72,7 @@ def cup_1_1(complex_: SimplicialComplex, alpha: Cochain, beta: Cochain) -> Cocha
     return Cochain(2, gf2.Gf2Vector(n2, bits))
 
 
+@per_complex
 def h1_cocycle_basis(complex_: SimplicialComplex) -> tuple[Cochain, ...]:
     """Cocycle representatives of a basis of H^1, deterministically
     chosen from the canonical kernel of delta^1 modulo coboundaries."""
@@ -99,13 +100,12 @@ def cochain_support(complex_: SimplicialComplex, cochain: Cochain):
 @dataclass(frozen=True)
 class PairingTensor:
     """entries[i][j][k] = (alpha_i . alpha_j) evaluated on the k-th
-    2-cycle representative; shape (b1, b1, b2).  classes holds the
-    cocycles alpha_i, from h1_cocycle_basis."""
+    2-cycle representative, alpha_i the i-th cocycle of
+    h1_cocycle_basis; shape (b1, b1, b2)."""
 
     b1: int
     b2: int
     entries: tuple[tuple[tuple[int, ...], ...], ...]
-    classes: tuple[Cochain, ...] = field(default=(), compare=False, repr=False)
 
     def flattened(self) -> gf2.Gf2Matrix:
         """b1 x (b1*b2) matrix whose row i lists all pairings of the
@@ -123,6 +123,7 @@ class PairingTensor:
         return gf2.Gf2Matrix(self.b1, self.b1 * self.b2, tuple(rows))
 
 
+@per_complex
 def pairing_tensor(complex_: SimplicialComplex) -> PairingTensor:
     data = chain_data(complex_)
     classes = h1_cocycle_basis(complex_)
@@ -134,9 +135,10 @@ def pairing_tensor(complex_: SimplicialComplex) -> PairingTensor:
             product = cup_1_1(complex_, a, b)
             row.append(tuple(product.values.dot(z) for z in cycles))
         entries.append(tuple(row))
-    return PairingTensor(len(classes), len(cycles), tuple(entries), classes)
+    return PairingTensor(len(classes), len(cycles), tuple(entries))
 
 
+@per_complex
 def has_property_A(complex_: SimplicialComplex) -> bool:
     """True when no nonzero degree-1 class cups to zero against every
     degree-1 class, evaluated on a homology basis in degree 2.
@@ -149,25 +151,17 @@ def has_property_A(complex_: SimplicialComplex) -> bool:
     return gf2.rank(tensor.flattened()) == tensor.b1
 
 
-def property_a_witness(
-    complex_: SimplicialComplex, *, tensor: PairingTensor | None = None
-) -> Cochain | None:
+def property_a_witness(complex_: SimplicialComplex) -> Cochain | None:
     """A cocycle representing a nonzero class all of whose cup products
-    vanish, or None when the complex has property A.  tensor is the
-    complex's pairing_tensor when the caller already has it."""
-    if tensor is None:
-        tensor = pairing_tensor(complex_)
+    vanish, or None when the complex has property A."""
+    tensor = pairing_tensor(complex_)
     if tensor.b1 == 0:
         return None
-    classes = tensor.classes
-    if len(classes) != tensor.b1:
-        raise PreconditionError("the pairing tensor does not carry its H^1 classes")
-    _check_degree_one(complex_, classes[0])
     kernel = gf2.kernel_basis(tensor.flattened())
     if not kernel:
         return None
-    coefficients = kernel[0]
+    classes = h1_cocycle_basis(complex_)
     bits = 0
-    for i in coefficients.support():
+    for i in kernel[0].support():
         bits ^= classes[i].values.bits
     return Cochain(1, gf2.Gf2Vector(classes[0].values.length, bits))

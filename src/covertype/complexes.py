@@ -11,6 +11,9 @@ MoveRecord, so a reduction pipeline can be audited and replayed.
 A long run of excisions and collapses goes through a WorkingComplex
 instead: the same move functions change it in place and return it, with
 the same MoveRecord, and freeze() takes a SimplicialComplex snapshot.
+
+Invariants of a complex (Betti numbers, property A, the surface check)
+are computed once per complex object and kept on it, by per_complex.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import heapq
 import itertools
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator
+from functools import cached_property, wraps
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import (
     InconsistencyError,
@@ -36,6 +39,7 @@ __all__ = [
     "MoveRecord",
     "WorkingComplex",
     "make_simplex",
+    "per_complex",
     "build_complex",
     "remove_two_simplex",
     "collapse_free_face",
@@ -141,9 +145,12 @@ class SimplicialComplex:
         return sum((-1) ** n * a for n, a in enumerate(self.f_vector))
 
     def skeleton(self, n: int) -> "SimplicialComplex":
-        """Subcomplex of all simplices of dimension at most n."""
+        """Subcomplex of all simplices of dimension at most n (the
+        complex itself when n >= dim)."""
         if n < 0:
             raise PreconditionError("skeleton dimension must be >= 0")
+        if n >= self.dim:
+            return self
         return SimplicialComplex(self.by_dim[: n + 1])
 
     def link(self, vertex: str) -> "SimplicialComplex":
@@ -296,6 +303,26 @@ class SimplicialComplex:
             raise InconsistencyError("more edges than a simple graph allows")
         if any(a == 0 for a in f):
             raise InconsistencyError("empty dimension group inside the complex")
+
+
+T = TypeVar("T")
+
+
+def per_complex(fn: Callable[[SimplicialComplex], T]) -> Callable[[SimplicialComplex], T]:
+    """Run fn once per complex object: the value is kept in the
+    immutable complex's own __dict__, as cached_property does, so it is
+    freed with the complex, and an equal but distinct complex computes
+    its own."""
+    key = f"{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def once(complex_: SimplicialComplex) -> T:
+        memo = complex_.__dict__
+        if key not in memo:
+            memo[key] = fn(complex_)
+        return memo[key]
+
+    return once
 
 
 def build_complex(maximal_simplices: Iterable[Iterable[str]]) -> SimplicialComplex:

@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from . import gf2
-from .complexes import Simplex, SimplicialComplex, make_simplex
+from .complexes import Simplex, SimplicialComplex, make_simplex, per_complex
 from .errors import InconsistencyError, NotFoundError, PreconditionError
 
 __all__ = [
@@ -101,16 +101,14 @@ def chain_from_vector(data: ChainData, n: int, vec: gf2.Gf2Vector) -> Chain:
     return tuple(data.simplices[n][i] for i in vec.support())
 
 
+@per_complex
 def betti_numbers(complex_: SimplicialComplex) -> tuple[int, ...]:
     """Mod-2 Betti numbers (b_0, ..., b_dim)."""
     if complex_.is_empty:
         return ()
     data = chain_data(complex_)
-    out = []
-    for n in range(complex_.dim + 1):
-        cycles = data.count(n) - gf2.rank(data.boundary_matrix(n))
-        out.append(cycles - gf2.rank(data.boundary_matrix(n + 1)))
-    return tuple(out)
+    ranks = [gf2.rank(data.boundary_matrix(n)) for n in range(complex_.dim + 2)]
+    return tuple(data.count(n) - ranks[n] - ranks[n + 1] for n in range(complex_.dim + 1))
 
 
 def homology_basis(complex_: SimplicialComplex, n: int) -> tuple[Chain, ...]:

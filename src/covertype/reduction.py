@@ -10,9 +10,9 @@ the surface.
 
 Each stage applies its moves in place to a WorkingComplex and takes a
 frozen SimplicialComplex snapshot only at its end and before each edge
-contraction; the next stage starts from that snapshot and is handed
-its Betti numbers.  Every recorded Betti entry is exact: it comes from
-a rank update whose witness is checked on the spot.
+contraction; the next stage starts from that snapshot.  Every recorded
+Betti entry is exact: it comes from a rank update whose witness is
+checked on the spot.
 
 - Collapse of (f, c), dim f = k: c has no coface and f has no strict
   coface but c, so row f of d_(k+1) is a single 1 in column c and
@@ -37,8 +37,9 @@ the remaining triangles that bound in the ambient complex are exactly
 the span of r_i, r_(i+1), ..., whose reduced basis starts with r_i.
 surplus_cycle itself runs once per excision stage, to check row 0.
 
-Cup-product regularity (property A) is computed only where a result
-uses it: the contraction gate and the final trace.
+Invariants are computed once per complex object (per_complex): a stage
+reads the Betti numbers and property A its predecessor found for the
+snapshot it was handed, e.g. the contraction gate those of collapse.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class ReductionTrace:
     betti_steps[0] holds the Betti numbers of the initial complex and
     betti_steps[i] those after the i-th move, so the audit data always
     has one more entry than there are moves.  property_a_final is None
-    for a stage run without it (the pipeline's inner stages).
+    for the excision stage, which does not compute it.
     """
 
     initial_f: tuple[int, ...]
@@ -154,17 +155,12 @@ class _Run:
     entries recorded so far, and the last snapshot whose Betti numbers
     are known to be the tracked ones (None after a move)."""
 
-    def __init__(
-        self,
-        start: SimplicialComplex,
-        betti: tuple[int, ...] | None = None,
-        checked: bool = True,
-    ):
+    def __init__(self, start: SimplicialComplex, betti: tuple[int, ...] | None = None):
         self.work = WorkingComplex(start)
         self.initial_f = start.f_vector
         self.moves: list[MoveRecord] = []
         self.betti_steps = [betti_numbers(start) if betti is None else betti]
-        self._snapshot = start if checked else None
+        self._snapshot = start
 
     @property
     def betti(self) -> tuple[int, ...]:
@@ -234,29 +230,18 @@ class _Run:
             self.collapse()
 
 
-def collapse_all(
-    complex_: SimplicialComplex,
-    *,
-    betti: tuple[int, ...] | None = None,
-    property_a: bool = True,
-) -> tuple[SimplicialComplex, ReductionTrace]:
+def collapse_all(complex_: SimplicialComplex) -> tuple[SimplicialComplex, ReductionTrace]:
     """Collapse free faces until none remain, lexicographically smallest
     face first.  Each elementary collapse is a homotopy equivalence, so
     the Betti numbers stay constant along the way.
-
-    betti, when given, are the known Betti numbers of complex_ (a
-    pipeline passes the last entry of the previous stage's trace); with
-    property_a False the trace's property_a_final is left None.
     """
-    run = _Run(complex_, betti)
+    run = _Run(complex_)
     run.collapse()
     final = run.snapshot()
-    return final, run.trace(final, has_property_A(final) if property_a else None)
+    return final, run.trace(final, has_property_A(final))
 
 
-def eliminate_maximal_edges(
-    complex_: SimplicialComplex, *, betti: tuple[int, ...] | None = None
-) -> tuple[SimplicialComplex, ReductionTrace]:
+def eliminate_maximal_edges(complex_: SimplicialComplex) -> tuple[SimplicialComplex, ReductionTrace]:
     """Contract maximal edges (and re-collapse) until none remain.
 
     Requires a complex with no free faces.  When the complex carries
@@ -265,31 +250,20 @@ def eliminate_maximal_edges(
     Without 2-cycles every cup product vanishes and the check carries
     no information, so each edge is vetted only by the path test inside
     contract_edge, which raises PropertyAViolationError on failure.
-    betti, when given, are the known Betti numbers of complex_.
     """
-    run = _Run(complex_, betti)
+    run = _Run(complex_)
     if run.work.smallest_free_face() is not None:
         raise PreconditionError("eliminate_maximal_edges expects a complex with no free faces")
-    regular = None
-    if len(run.betti) > 2 and run.betti[2] >= 1:
-        regular = has_property_A(complex_)
-        if not regular:
-            raise PreconditionError(
-                "complex has 2-cycles but lacks cup-product regularity; contraction is not justified"
-            )
+    if len(run.betti) > 2 and run.betti[2] >= 1 and not has_property_A(complex_):
+        raise PreconditionError(
+            "complex has 2-cycles but lacks cup-product regularity; contraction is not justified"
+        )
     run.contract()
     final = run.snapshot()
-    if final is not complex_ or regular is None:
-        regular = has_property_A(final)
-    return final, run.trace(final, regular)
+    return final, run.trace(final, has_property_A(final))
 
 
-def excise_to_surface_homology(
-    complex_: SimplicialComplex,
-    *,
-    betti: tuple[int, ...] | None = None,
-    property_a: bool = True,
-) -> tuple[SimplicialComplex, ReductionTrace]:
+def excise_to_surface_homology(complex_: SimplicialComplex) -> tuple[SimplicialComplex, ReductionTrace]:
     """Cut the 2-skeleton down to a single 2-cycle class.
 
     Requires b2 = 1.  While the 2-skeleton has extra second homology,
@@ -297,9 +271,9 @@ def excise_to_surface_homology(
     complex, and record the cycle as evidence; each excision lowers b2
     by exactly one and leaves b0, b1 alone.  Afterwards a cycle
     generating H_2 of the ambient complex is re-homed inside the result
-    as a final check.  betti and property_a act as in collapse_all.
+    as a final check.  The trace's property_a_final is None.
     """
-    ambient_betti = betti_numbers(complex_) if betti is None else betti
+    ambient_betti = betti_numbers(complex_)
     if len(ambient_betti) < 3 or ambient_betti[2] != 1:
         raise PreconditionError(
             f"excision expects one-dimensional H_2, found Betti numbers {ambient_betti}"
@@ -315,7 +289,7 @@ def excise_to_surface_homology(
     b0, b1, b2 = ambient_betti[:3]
     # rank d_3 = len(basis), so the skeleton has that many more 2-cycles;
     # with no 3-simplex the skeleton is the complex itself
-    run = _Run(skeleton, (b0, b1, b2 + len(basis)), checked=not basis)
+    run = _Run(skeleton, (b0, b1, b2 + len(basis)))
     run.excise(complex_, basis)
     current = run.snapshot()
     if run.betti != ambient_betti[:3]:
@@ -327,7 +301,7 @@ def excise_to_surface_homology(
         raise InconsistencyError(
             "no cycle inside the excised skeleton represents the ambient H_2 generator"
         )
-    return current, run.trace(current, has_property_A(current) if property_a else None)
+    return current, run.trace(current, None)
 
 
 @dataclass(frozen=True)
@@ -399,18 +373,14 @@ def reduce_to_certificate(
             )
 
         stage = "excision"
-        skeleton_complex, trace = excise_to_surface_homology(
-            complex_, betti=actual, property_a=False
-        )
+        skeleton_complex, trace = excise_to_surface_homology(complex_)
 
         stage = "collapse"
-        collapsed, collapse_trace = collapse_all(
-            skeleton_complex, betti=trace.betti_steps[-1], property_a=False
-        )
+        collapsed, collapse_trace = collapse_all(skeleton_complex)
         trace = _concat_traces(trace, collapse_trace)
 
         stage = "contraction"
-        final, contract_trace = eliminate_maximal_edges(collapsed, betti=trace.betti_steps[-1])
+        final, contract_trace = eliminate_maximal_edges(collapsed)
         trace = _concat_traces(trace, contract_trace)
 
         stage = "certificate"

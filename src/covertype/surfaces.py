@@ -16,8 +16,9 @@ size of the complex: the maximal simplices and the triangle count of
 each edge come from the codimension-1 coface table, and each vertex
 link is assembled from the triangles on the vertex (its vertices are
 the vertex's neighbours), then tested with one degree count and one
-traversal.  classify_surface runs the check once and then propagates
-orientations; orientable is the same propagation behind its own check.
+traversal.  The check is computed once per complex and kept on it, so
+classify_surface and orientable, which both require a closed surface,
+read the report that check_closed_surface has already made.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .complexes import (
     build_complex,
     identify_vertices,
     make_simplex,
+    per_complex,
 )
 from .cohomology import has_property_A
 from .errors import (
@@ -155,6 +157,7 @@ def _link_is_single_circle(
     return len(seen) == len(around)
 
 
+@per_complex
 def check_closed_surface(complex_: SimplicialComplex) -> SurfaceCheckReport:
     """Check the four closed-surface conditions, with witnesses for
     whichever ones fail, in one sweep over the simplices."""
@@ -200,11 +203,6 @@ def orientable(complex_: SimplicialComplex) -> bool:
     coherent triangle orientations across shared edges."""
     if not check_closed_surface(complex_).verdict:
         raise PreconditionError("orientability is defined here only for closed surfaces")
-    return _orientations_agree(complex_)
-
-
-def _orientations_agree(complex_: SimplicialComplex) -> bool:
-    """Orientability of a complex already checked to be a closed surface."""
     tris = complex_.simplices(2)
     position = {t: i for i, t in enumerate(tris)}
 
@@ -237,12 +235,11 @@ def _orientations_agree(complex_: SimplicialComplex) -> bool:
 
 def classify_surface(complex_: SimplicialComplex) -> SurfaceClass:
     """Homeomorphism type of a verified closed surface, from
-    orientability and the Euler characteristic.  The surface check runs
-    once, here."""
+    orientability and the Euler characteristic."""
     if not check_closed_surface(complex_).verdict:
         raise PreconditionError("classification requires a closed surface")
     chi = complex_.euler_characteristic()
-    if _orientations_agree(complex_):
+    if orientable(complex_):
         if chi > 2 or chi % 2 != 0:
             raise InconsistencyError(f"no orientable closed surface has chi = {chi}")
         return SurfaceClass(True, (2 - chi) // 2)

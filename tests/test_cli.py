@@ -118,6 +118,20 @@ def test_surface_command_n3(files, capsys):
     assert (fields["rho"], fields["delta"], fields["covering_type"]) == ("8", "9", "9")
 
 
+def test_surface_command_checks_the_surface_once(files, capsys, monkeypatch):
+    from covertype import surfaces
+
+    links = []
+    single = surfaces._link_is_single_circle
+    monkeypatch.setattr(
+        surfaces, "_link_is_single_circle", lambda *a: links.append(a[0]) or single(*a)
+    )
+    code, out, _ = run(capsys, "--machine", "surface", files["klein_bottle_8"])
+    assert code == 0
+    assert machine(out)["class"] == "N_2"
+    assert len(links) == 8  # one link test per vertex: a single sweep
+
+
 def test_reduce_command(files, tmp_path, capsys):
     out_path = tmp_path / "reduced.cplx"
     code, out, _ = run(

@@ -6,6 +6,7 @@ from __future__ import annotations
 import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -236,3 +237,37 @@ def test_repeated_reductions_keep_memory_flat():
         live.append(sum(isinstance(o, ct.SimplicialComplex) for o in gc.get_objects()))
     assert max(entries[10:]) <= max(entries[:10]) <= chain_data.cache_info().maxsize
     assert max(live[10:]) <= max(live[:10])
+
+
+def _rank_calls(monkeypatch) -> list:
+    """Record every gf2.rank call made from here on."""
+    calls = []
+    rank = gf2.rank
+    monkeypatch.setattr(gf2, "rank", lambda m: calls.append(m) or rank(m))
+    return calls
+
+
+def test_betti_numbers_ranks_each_boundary_matrix_once(torus, monkeypatch):
+    calls = _rank_calls(monkeypatch)
+    assert ct.betti_numbers(ct.SimplicialComplex(torus.by_dim)) == (1, 2, 1)
+    assert 0 < len(calls) <= 4  # d_0, d_1, d_2, d_3, each once
+
+
+def test_invariants_are_kept_per_complex_object(torus, monkeypatch):
+    """A second call on the same complex is free; an equal but distinct
+    complex computes its own, so a from-scratch check stays one; and
+    the kept value does not keep its complex alive."""
+    calls = _rank_calls(monkeypatch)
+    k = ct.SimplicialComplex(torus.by_dim)
+    assert ct.betti_numbers(k) == (1, 2, 1)
+    first = len(calls)
+    assert first > 0
+    assert ct.betti_numbers(k) == (1, 2, 1)
+    assert len(calls) == first
+    assert ct.betti_numbers(ct.SimplicialComplex(k.by_dim)) == (1, 2, 1)
+    assert len(calls) == 2 * first
+    ref = weakref.ref(k)
+    del k
+    chain_data.cache_clear()  # its bounded cache holds the last complexes too
+    gc.collect()
+    assert ref() is None
