@@ -8,7 +8,6 @@ a corrupted file cannot slip through as test input.
 from __future__ import annotations
 
 from functools import lru_cache
-from importlib import resources
 
 from .complexes import SimplicialComplex
 from .errors import InconsistencyError, NotFoundError
@@ -37,6 +36,10 @@ def bundled_names() -> tuple[str, ...]:
 def bundled_text(name: str) -> str:
     if name not in _FILES:
         raise NotFoundError(f"no bundled complex named {name!r}; have {bundled_names()}")
+    # imported here: on Python 3.12 and later importlib.resources loads
+    # inspect, a cost of every process that imports the package
+    from importlib import resources
+
     return resources.files(__package__).joinpath("data", _FILES[name]).read_text("utf-8")
 
 

@@ -15,12 +15,11 @@ duality, and the reduction pipeline leans on it staying true.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import gf2
 from .complexes import SimplicialComplex, per_complex
 from .errors import PreconditionError
 from .homology import chain_data, chain_vector, homology_basis
+from .value import Value
 
 __all__ = [
     "Cochain",
@@ -35,13 +34,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(Value):
     """A mod-2 cochain: its degree and one value bit per simplex, in the
     canonical simplex order of the complex it belongs to."""
 
     degree: int
     values: gf2.Gf2Vector
+
+    def __init__(self, degree: int, values: gf2.Gf2Vector) -> None:
+        vars(self).update(degree=degree, values=values)
 
 
 def coboundary_matrix(complex_: SimplicialComplex, n: int) -> gf2.Gf2Matrix:
@@ -97,8 +98,7 @@ def cochain_support(complex_: SimplicialComplex, cochain: Cochain):
     return tuple(group[i] for i in cochain.values.support())
 
 
-@dataclass(frozen=True)
-class PairingTensor:
+class PairingTensor(Value):
     """entries[i][j][k] = (alpha_i . alpha_j) evaluated on the k-th
     2-cycle representative, alpha_i the i-th cocycle of
     h1_cocycle_basis; shape (b1, b1, b2)."""
@@ -106,6 +106,9 @@ class PairingTensor:
     b1: int
     b2: int
     entries: tuple[tuple[tuple[int, ...], ...], ...]
+
+    def __init__(self, b1: int, b2: int, entries: tuple[tuple[tuple[int, ...], ...], ...]) -> None:
+        vars(self).update(b1=b1, b2=b2, entries=entries)
 
     def flattened(self) -> gf2.Gf2Matrix:
         """b1 x (b1*b2) matrix whose row i lists all pairings of the

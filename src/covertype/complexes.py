@@ -21,7 +21,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -32,6 +31,7 @@ from .errors import (
     PreconditionError,
     PropertyAViolationError,
 )
+from .value import Value
 
 __all__ = [
     "Simplex",
@@ -84,11 +84,13 @@ def make_simplex(vertices: Iterable[str]) -> Simplex:
     return vs
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(Value):
     """Simplices grouped by dimension: by_dim[n] lists the n-simplices."""
 
     by_dim: tuple[tuple[Simplex, ...], ...]
+
+    def __init__(self, by_dim: tuple[tuple[Simplex, ...], ...]) -> None:
+        vars(self).update(by_dim=by_dim)
 
     @classmethod
     def from_simplices(cls, simplices: Iterable[Simplex]) -> "SimplicialComplex":
@@ -339,8 +341,7 @@ def build_complex(maximal_simplices: Iterable[Iterable[str]]) -> SimplicialCompl
 # structural moves
 
 
-@dataclass(frozen=True)
-class MoveRecord:
+class MoveRecord(Value):
     """One audited structural move: what kind, which simplices, and the
     f-vectors before and after.  ``aux`` carries optional evidence, e.g.
     the support of the 2-cycle that justified an excision."""
@@ -349,7 +350,19 @@ class MoveRecord:
     simplices: tuple[Simplex, ...]
     before_f: tuple[int, ...]
     after_f: tuple[int, ...]
-    aux: tuple[Simplex, ...] = ()
+    aux: tuple[Simplex, ...]
+
+    def __init__(
+        self,
+        kind: str,
+        simplices: tuple[Simplex, ...],
+        before_f: tuple[int, ...],
+        after_f: tuple[int, ...],
+        aux: tuple[Simplex, ...] = (),
+    ) -> None:
+        vars(self).update(
+            kind=kind, simplices=simplices, before_f=before_f, after_f=after_f, aux=aux
+        )
 
 
 class WorkingComplex:

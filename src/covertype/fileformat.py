@@ -15,12 +15,11 @@ the count is made while parsing, before any closure is built.
 
 from __future__ import annotations
 
-import hashlib
 import re
-from dataclasses import dataclass, replace
 
 from .complexes import SimplicialComplex, build_complex, check_label
 from .errors import MalformedInputError, ParseError
+from .value import Value
 
 __all__ = [
     "MAX_SIMPLEX_VERTICES",
@@ -39,14 +38,23 @@ MAX_CLOSURE_FACES = 1 << 16
 _SURFACE_RE = re.compile(r"#\s*surface:\s*(\S+)")
 
 
-@dataclass(frozen=True)
-class ComplexFile:
+class ComplexFile(Value):
     """Parsed file: the simplex lines as given, plus any declared surface
     and, when read from a file, the sha256 of the bytes that were parsed."""
 
     maximal_simplices: tuple[tuple[str, ...], ...]
-    surface_name: str | None = None
-    sha256: str | None = None
+    surface_name: str | None
+    sha256: str | None
+
+    def __init__(
+        self,
+        maximal_simplices: tuple[tuple[str, ...], ...],
+        surface_name: str | None = None,
+        sha256: str | None = None,
+    ) -> None:
+        vars(self).update(
+            maximal_simplices=maximal_simplices, surface_name=surface_name, sha256=sha256
+        )
 
     def complex(self) -> SimplicialComplex:
         return build_complex(self.maximal_simplices)
@@ -96,6 +104,10 @@ def parse_complex_text(text: str) -> ComplexFile:
 
 def parse_complex_file(path) -> ComplexFile:
     """Read the file once; hash and decode those same bytes."""
+    # imported here, the only place that hashes: loading hashlib (and
+    # OpenSSL with it) is a cost of every process that imports this module
+    import hashlib
+
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -104,7 +116,9 @@ def parse_complex_file(path) -> ComplexFile:
         line = data.count(b"\n", 0, err.start) + 1
         raise ParseError(f"not valid UTF-8 at byte {err.start}", line=line) from err
     parsed = parse_complex_text(text)
-    return replace(parsed, sha256=hashlib.sha256(data).hexdigest())
+    return ComplexFile(
+        parsed.maximal_simplices, parsed.surface_name, hashlib.sha256(data).hexdigest()
+    )
 
 
 def complex_to_text(complex_: SimplicialComplex, surface_name: str | None = None) -> str:

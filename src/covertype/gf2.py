@@ -15,10 +15,10 @@ package relies on that for deterministic tie-breaking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
+from .value import Value
 
 __all__ = [
     "Gf2Vector",
@@ -32,17 +32,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Gf2Vector:
+class Gf2Vector(Value):
     """Fixed-length GF(2) vector; bit i of ``bits`` is coordinate i."""
 
     length: int
-    bits: int = 0
+    bits: int
 
-    def __post_init__(self) -> None:
-        if self.length < 0:
+    def __init__(self, length: int, bits: int = 0) -> None:
+        vars(self).update(length=length, bits=bits)
+        if length < 0:
             raise PreconditionError("vector length must be >= 0")
-        if self.bits < 0 or self.bits >> self.length != 0:
+        if bits < 0 or bits >> length != 0:
             raise PreconditionError("bit pattern wider than declared length")
 
     @classmethod
@@ -102,21 +102,21 @@ class Gf2Vector:
         return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.length))
 
 
-@dataclass(frozen=True)
-class Gf2Matrix:
+class Gf2Matrix(Value):
     """rows x cols matrix over GF(2); bit j of row_bits[i] is entry (i, j)."""
 
     rows: int
     cols: int
     row_bits: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, row_bits: tuple[int, ...]) -> None:
+        vars(self).update(rows=rows, cols=cols, row_bits=row_bits)
+        if rows < 0 or cols < 0:
             raise PreconditionError("matrix dimensions must be >= 0")
-        if len(self.row_bits) != self.rows:
+        if len(row_bits) != rows:
             raise PreconditionError("row count does not match row data")
-        for r in self.row_bits:
-            if r < 0 or r >> self.cols != 0:
+        for r in row_bits:
+            if r < 0 or r >> cols != 0:
                 raise PreconditionError("row wider than declared column count")
 
     @classmethod

@@ -8,13 +8,13 @@ canonical simplex order of one specific complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
 from . import gf2
 from .complexes import Simplex, SimplicialComplex, make_simplex, per_complex
 from .errors import InconsistencyError, NotFoundError, PreconditionError
+from .value import Value
 
 __all__ = [
     "ChainData",
@@ -129,12 +129,16 @@ def homology_basis(complex_: SimplicialComplex, n: int) -> tuple[Chain, ...]:
     return tuple(chain_from_vector(data, n, v) for v in reps)
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(Value):
     """Betti numbers together with chosen cycle representatives."""
 
     betti: tuple[int, ...]
     cycle_representatives: tuple[tuple[Chain, ...], ...]
+
+    def __init__(
+        self, betti: tuple[int, ...], cycle_representatives: tuple[tuple[Chain, ...], ...]
+    ) -> None:
+        vars(self).update(betti=betti, cycle_representatives=cycle_representatives)
 
 
 def homology_profile(complex_: SimplicialComplex) -> HomologyProfile:

@@ -44,8 +44,6 @@ snapshot it was handed, e.g. the contraction gate those of collapse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cohomology import has_property_A
 from .complexes import (
     MoveRecord,
@@ -71,6 +69,7 @@ from .homology import (
     surplus_cycle,
 )
 from .surfaces import SurfaceClass, rho
+from .value import Value
 
 __all__ = [
     "ReductionTrace",
@@ -83,8 +82,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(Value):
     """Replayable log of a reduction run.
 
     betti_steps[0] holds the Betti numbers of the initial complex and
@@ -99,8 +97,22 @@ class ReductionTrace:
     betti_steps: tuple[tuple[int, ...], ...]
     property_a_final: bool | None
 
-    def __post_init__(self) -> None:
-        if len(self.betti_steps) != len(self.moves) + 1:
+    def __init__(
+        self,
+        initial_f: tuple[int, ...],
+        final_f: tuple[int, ...],
+        moves: tuple[MoveRecord, ...],
+        betti_steps: tuple[tuple[int, ...], ...],
+        property_a_final: bool | None,
+    ) -> None:
+        vars(self).update(
+            initial_f=initial_f,
+            final_f=final_f,
+            moves=moves,
+            betti_steps=betti_steps,
+            property_a_final=property_a_final,
+        )
+        if len(betti_steps) != len(moves) + 1:
             raise InconsistencyError("trace needs one Betti entry per step plus the initial one")
 
     def move_counts(self) -> dict[str, int]:
@@ -304,8 +316,7 @@ def excise_to_surface_homology(complex_: SimplicialComplex) -> tuple[SimplicialC
     return current, run.trace(current, None)
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(Value):
     """Final f-vector of a reduction run plus the counting inequalities
     that turn it into the vertex lower bound rho.
 
@@ -319,6 +330,10 @@ class BoundCertificate:
     chi: int
     f_vector: tuple[int, int, int]
     rho: int
+
+    def __init__(self, chi: int, f_vector: tuple[int, int, int], rho: int) -> None:
+        vars(self).update(chi=chi, f_vector=f_vector, rho=rho)
+        self._check()
 
     @property
     def triangles_cover_edges(self) -> bool:
@@ -334,7 +349,7 @@ class BoundCertificate:
         a0 = self.f_vector[0]
         return 6 * self.chi >= 6 * a0 - a0 * (a0 - 1)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         a0, a1, a2 = self.f_vector
         if a0 - a1 + a2 != self.chi:
             raise InconsistencyError("certificate f-vector does not have the declared chi")

@@ -24,7 +24,6 @@ read the report that check_closed_surface has already made.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .complexes import (
     Simplex,
@@ -41,6 +40,7 @@ from .errors import (
     PreconditionError,
 )
 from .homology import betti_numbers
+from .value import Value
 
 __all__ = [
     "SurfaceClass",
@@ -57,17 +57,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SurfaceClass:
+class SurfaceClass(Value):
     """Homeomorphism type of a closed surface."""
 
     orientable: bool
     genus: int
 
-    def __post_init__(self) -> None:
-        if self.genus < 0:
+    def __init__(self, orientable: bool, genus: int) -> None:
+        vars(self).update(orientable=orientable, genus=genus)
+        if genus < 0:
             raise DomainError("genus must be >= 0")
-        if not self.orientable and self.genus == 0:
+        if not orientable and genus == 0:
             raise DomainError("a non-orientable surface has genus >= 1")
 
     @property
@@ -106,8 +106,7 @@ def surface_from_name(name: str) -> SurfaceClass:
     raise DomainError(f"unknown surface name {name!r}")
 
 
-@dataclass(frozen=True)
-class SurfaceCheckReport:
+class SurfaceCheckReport(Value):
     """Outcome of the four closed-surface conditions, with witnesses
     for whichever ones fail."""
 
@@ -115,10 +114,32 @@ class SurfaceCheckReport:
     every_edge_in_two_triangles: bool
     strongly_connected: bool
     all_links_single_circles: bool
-    bad_maximal_simplices: tuple[Simplex, ...] = ()
-    bad_edges: tuple[tuple[Simplex, int], ...] = ()
-    bad_vertices: tuple[str, ...] = ()
-    component_count: int = 0
+    bad_maximal_simplices: tuple[Simplex, ...]
+    bad_edges: tuple[tuple[Simplex, int], ...]
+    bad_vertices: tuple[str, ...]
+    component_count: int
+
+    def __init__(
+        self,
+        pure_two_dimensional: bool,
+        every_edge_in_two_triangles: bool,
+        strongly_connected: bool,
+        all_links_single_circles: bool,
+        bad_maximal_simplices: tuple[Simplex, ...] = (),
+        bad_edges: tuple[tuple[Simplex, int], ...] = (),
+        bad_vertices: tuple[str, ...] = (),
+        component_count: int = 0,
+    ) -> None:
+        vars(self).update(
+            pure_two_dimensional=pure_two_dimensional,
+            every_edge_in_two_triangles=every_edge_in_two_triangles,
+            strongly_connected=strongly_connected,
+            all_links_single_circles=all_links_single_circles,
+            bad_maximal_simplices=bad_maximal_simplices,
+            bad_edges=bad_edges,
+            bad_vertices=bad_vertices,
+            component_count=component_count,
+        )
 
     @property
     def verdict(self) -> bool:
