@@ -18,7 +18,7 @@ from __future__ import annotations
 from . import gf2
 from .complexes import SimplicialComplex, per_complex
 from .errors import PreconditionError
-from .homology import chain_data, chain_vector, homology_basis
+from .homology import _kernel_modulo_image, chain_data, chain_vector, homology_basis
 from .value import Value
 
 __all__ = [
@@ -77,16 +77,10 @@ def cup_1_1(complex_: SimplicialComplex, alpha: Cochain, beta: Cochain) -> Cocha
 def h1_cocycle_basis(complex_: SimplicialComplex) -> tuple[Cochain, ...]:
     """Cocycle representatives of a basis of H^1, deterministically
     chosen from the canonical kernel of delta^1 modulo coboundaries."""
-    n1 = len(complex_.simplices(1))
-    if n1 == 0:
+    if not complex_.simplices(1):
         return ()
-    coboundaries = gf2.image_basis(coboundary_matrix(complex_, 0))
-    span = gf2.Span(n1, coboundaries)
-    reps = []
-    for v in gf2.kernel_basis(coboundary_matrix(complex_, 1)):
-        if span.add(v):
-            reps.append(Cochain(1, v))
-    return tuple(reps)
+    reps = _kernel_modulo_image(coboundary_matrix(complex_, 1), coboundary_matrix(complex_, 0))
+    return tuple(Cochain(1, v) for v in reps)
 
 
 def cochain_support(complex_: SimplicialComplex, cochain: Cochain):

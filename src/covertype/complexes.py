@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import Counter, deque
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property, wraps
-from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import (
     InconsistencyError,
@@ -136,12 +136,8 @@ class SimplicialComplex(Value):
     def all_simplices(self) -> Iterator[Simplex]:
         return itertools.chain.from_iterable(self.by_dim)
 
-    @cached_property
-    def _simplex_set(self) -> frozenset[Simplex]:
-        return frozenset(self.all_simplices())
-
     def __contains__(self, simplex: Simplex) -> bool:
-        return simplex in self._simplex_set
+        return simplex in self._facet_cofaces
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** n * a for n, a in enumerate(self.f_vector))
@@ -157,7 +153,7 @@ class SimplicialComplex(Value):
 
     def link(self, vertex: str) -> "SimplicialComplex":
         v = check_label(vertex)
-        if (v,) not in self._simplex_set:
+        if (v,) not in self:
             raise NotFoundError(f"vertex {v!r} is not in the complex")
         sims = []
         for s in self.all_simplices():
@@ -167,64 +163,51 @@ class SimplicialComplex(Value):
 
     @cached_property
     def _facet_cofaces(self) -> dict[Simplex, tuple[Simplex, ...]]:
-        """Codimension-1 cofaces of every simplex."""
-        cof: dict[Simplex, list[Simplex]] = {s: [] for s in self._simplex_set}
+        """Codimension-1 cofaces of every simplex, the one incidence
+        table of the complex; its keys are the simplices."""
+        cof: dict[Simplex, list[Simplex]] = {s: [] for s in self.all_simplices()}
         for group in self.by_dim[1:]:
             for s in group:
                 for i in range(len(s)):
                     cof[s[:i] + s[i + 1 :]].append(s)
         return {s: tuple(sorted(v)) for s, v in cof.items()}
 
-    @cached_property
-    def _strict_coface_data(self) -> dict[Simplex, tuple[int, Simplex | None]]:
-        """For each simplex: (count of strictly larger member simplices,
-        that coface when the count is exactly one)."""
-        counts: dict[Simplex, int] = {s: 0 for s in self._simplex_set}
-        last: dict[Simplex, Simplex] = {}
-        for group in self.by_dim[1:]:
-            for s in group:
-                for k in range(1, len(s)):
-                    for f in itertools.combinations(s, k):
-                        counts[f] += 1
-                        last[f] = s
-        return {
-            s: (c, last[s] if c == 1 else None) for s, c in counts.items()
-        }
-
     def maximal_simplices(self) -> tuple[Simplex, ...]:
-        return tuple(
-            sorted(s for s, (c, _) in self._strict_coface_data.items() if c == 0)
-        )
+        """The simplices with no codimension-1 coface, which in a
+        downward-closed complex are those in no larger simplex."""
+        return tuple(sorted(s for s, cof in self._facet_cofaces.items() if not cof))
 
     def free_faces(self) -> tuple[tuple[Simplex, Simplex], ...]:
         """Pairs (face, coface) where the face lies in exactly one
         strictly larger simplex.  Sorted by face, so index 0 is the
-        lexicographically smallest free face."""
-        pairs = [
-            (s, cof)
-            for s, (c, cof) in self._strict_coface_data.items()
-            if c == 1
-        ]
-        pairs.sort()
-        return tuple(pairs)
+        lexicographically smallest free face.
+
+        A face f is free exactly when it has one codimension-1 coface
+        c: every simplex strictly containing f contains a codimension-1
+        coface of f, hence c, and c is maximal, since a coface c + {y}
+        would contain a second codimension-1 coface f + {y} of f.
+        """
+        return tuple(
+            sorted((s, cof[0]) for s, cof in self._facet_cofaces.items() if len(cof) == 1)
+        )
 
     def edge_triangle_count(self, edge: Iterable[str]) -> int:
         e = make_simplex(edge)
-        if len(e) != 2 or e not in self._simplex_set:
+        if len(e) != 2 or e not in self:
             raise NotFoundError(f"{e} is not an edge of the complex")
         return len(self._facet_cofaces[e])
 
     @cached_property
     def _adjacency(self) -> dict[str, tuple[str, ...]]:
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for a, b in self.simplices(1):
-            adj[a].append(b)
-            adj[b].append(a)
-        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        """Neighbours of each vertex, ascending: the other ends of its
+        edges, whose canonical order lists every (u, v) with u < v
+        before every (v, w)."""
+        cofaces = self._facet_cofaces
+        return {v: tuple(a if b == v else b for a, b in cofaces[(v,)]) for v in self.vertices}
 
     def vertex_degree(self, vertex: str) -> int:
         v = check_label(vertex)
-        if (v,) not in self._simplex_set:
+        if (v,) not in self:
             raise NotFoundError(f"vertex {v!r} is not in the complex")
         return len(self._adjacency[v])
 
@@ -232,12 +215,12 @@ class SimplicialComplex(Value):
         """Is there an edge path from a to b, optionally avoiding one edge?"""
         va, vb = check_label(a), check_label(b)
         for v in (va, vb):
-            if (v,) not in self._simplex_set:
+            if (v,) not in self:
                 raise NotFoundError(f"vertex {v!r} is not in the complex")
         banned: Simplex | None = None
         if forbidden is not None:
             banned = make_simplex(forbidden)
-            if len(banned) != 2 or banned not in self._simplex_set:
+            if len(banned) != 2 or banned not in self:
                 raise PreconditionError(f"forbidden simplex {banned} is not an edge of the complex")
         if va == vb:
             return True
@@ -307,7 +290,11 @@ class SimplicialComplex(Value):
             raise InconsistencyError("empty dimension group inside the complex")
 
 
-T = TypeVar("T")
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import TypeVar
+
+    T = TypeVar("T")
 
 
 def per_complex(fn: Callable[[SimplicialComplex], T]) -> Callable[[SimplicialComplex], T]:
@@ -368,37 +355,25 @@ class MoveRecord(Value):
 class WorkingComplex:
     """A mutable complex for a long run of excisions and collapses.
 
-    It keeps the simplices of each dimension, the number of strictly
-    larger simplices containing each simplex, the codimension-1 cofaces
+    It keeps the simplices of each dimension, the codimension-1 cofaces
     of each simplex, and a min-heap of (free face, coface) pairs with
     lazy deletion: an entry is discarded when its face is found no
-    longer free.  Coface counts only fall, so a face becomes free at
-    most once and is pushed at most once; the heap's smallest live
-    entry is therefore exactly free_faces()[0] of a snapshot.
+    longer free.  A face is free when it has exactly one codimension-1
+    coface; as for SimplicialComplex.free_faces, that coface is then
+    maximal, so this is the same as lying in exactly one strictly
+    larger simplex.  Cofaces are only ever removed, so a face becomes
+    free at most once and is pushed at most once; the heap's smallest
+    live entry is therefore exactly free_faces()[0] of a snapshot.
     """
 
     def __init__(self, complex_: SimplicialComplex):
         self._groups = [set(group) for group in complex_.by_dim]
-        self._count: dict[Simplex, int] = dict.fromkeys(complex_.all_simplices(), 0)
-        self._count.update(
-            Counter(
-                f
-                for group in complex_.by_dim[1:]
-                for s in group
-                for k in range(1, len(s))
-                for f in itertools.combinations(s, k)
-            )
-        )
-        self._cofaces: dict[Simplex, set[Simplex]] = {s: set() for s in self._count}
-        for group in complex_.by_dim[1:]:
-            for s in group:
-                for f in itertools.combinations(s, len(s) - 1):
-                    self._cofaces[f].add(s)
-        self._free = [(s, next(iter(self._cofaces[s]))) for s, c in self._count.items() if c == 1]
+        self._cofaces = {s: set(cof) for s, cof in complex_._facet_cofaces.items()}
+        self._free = [(s, next(iter(self._cofaces[s]))) for s in self._cofaces if self._is_free(s)]
         heapq.heapify(self._free)
 
     def __contains__(self, simplex: Simplex) -> bool:
-        return simplex in self._count
+        return simplex in self._cofaces
 
     @property
     def dim(self) -> int:
@@ -408,11 +383,11 @@ class WorkingComplex:
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(group) for group in self._groups)
 
-    def strict_coface_count(self, simplex: Simplex) -> int:
-        return self._count[simplex]
-
     def facet_cofaces(self, simplex: Simplex) -> frozenset[Simplex]:
         return frozenset(self._cofaces[simplex])
+
+    def _is_free(self, face: Simplex) -> bool:
+        return len(self._cofaces.get(face, ())) == 1
 
     def smallest_free_face(self) -> tuple[Simplex, Simplex] | None:
         """The smallest (face, coface) pair whose face lies in exactly
@@ -420,36 +395,41 @@ class WorkingComplex:
         free = self._free
         while free:
             face, coface = free[0]
-            if self._count.get(face) == 1:
+            if self._is_free(face):
                 return face, coface
             heapq.heappop(free)
         return None
 
     def smallest_maximal_edge(self) -> Simplex | None:
         edges = self._groups[1] if len(self._groups) > 1 else ()
-        return min((e for e in edges if not self._count[e]), default=None)
+        return min((e for e in edges if not self._cofaces[e]), default=None)
 
     def freeze(self) -> SimplicialComplex:
         return SimplicialComplex(tuple(tuple(sorted(group)) for group in self._groups))
 
     def _remove(self, *simplices: Simplex) -> None:
         """Delete simplices, each maximal once those before it are gone,
-        and push every face this leaves free."""
-        touched: set[Simplex] = set()
+        and push every face this leaves free.
+
+        Only a facet of a deleted simplex can become free: a face is
+        free when one codimension-1 coface is left, and it loses a
+        coface only when that coface is deleted.  Nor can a deletion
+        free a face h by leaving its coface g = s - {x} maximal:
+        h = s - {x, y} also lies in the facet s - {y} of s, which stays
+        unless it is deleted too, and then h is one of its facets.
+        """
+        facets: set[Simplex] = set()
         for s in simplices:
-            del self._count[s], self._cofaces[s]
+            del self._cofaces[s]
             self._groups[len(s) - 1].remove(s)
             if len(s) > 1:
                 for f in itertools.combinations(s, len(s) - 1):
                     self._cofaces[f].discard(s)
-            for k in range(1, len(s)):
-                for f in itertools.combinations(s, k):
-                    self._count[f] -= 1
-                    touched.add(f)
+                    facets.add(f)
         while self._groups and not self._groups[-1]:
             self._groups.pop()
-        for f in touched:
-            if self._count.get(f) == 1:
+        for f in facets:
+            if self._is_free(f):
                 heapq.heappush(self._free, (f, next(iter(self._cofaces[f]))))
 
     def _excise(self, triangle: Iterable[str], aux: tuple[Simplex, ...]) -> MoveRecord:
@@ -466,9 +446,10 @@ class WorkingComplex:
         f = make_simplex(face)
         if f not in self:
             raise NotFoundError(f"{f} is not in the complex")
-        count = self._count[f]
-        if count != 1:
-            raise PreconditionError(f"{f} has {count} strict cofaces; a free face has exactly one")
+        if not self._is_free(f):
+            raise PreconditionError(
+                f"{f} has {len(self._cofaces[f])} codimension-1 cofaces; a free face has exactly one"
+            )
         (coface,) = self._cofaces[f]
         before = self.f_vector
         self._remove(coface, f)
@@ -504,10 +485,12 @@ def collapse_free_face(
     f = make_simplex(face)
     if f not in complex_:
         raise NotFoundError(f"{f} is not in the complex")
-    count, coface = complex_._strict_coface_data[f]
-    if count != 1:
-        raise PreconditionError(f"{f} has {count} strict cofaces; a free face has exactly one")
-    assert coface is not None
+    cofaces = complex_._facet_cofaces[f]
+    if len(cofaces) != 1:
+        raise PreconditionError(
+            f"{f} has {len(cofaces)} codimension-1 cofaces; a free face has exactly one"
+        )
+    (coface,) = cofaces
     removed = {f, coface}
     new = SimplicialComplex.from_simplices(
         s for s in complex_.all_simplices() if s not in removed

@@ -15,7 +15,7 @@ package relies on that for deterministic tie-breaking.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import PreconditionError
 from .value import Value

@@ -8,8 +8,8 @@ canonical simplex order of one specific complex.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable
 
 from . import gf2
 from .complexes import Simplex, SimplicialComplex, make_simplex, per_complex
@@ -120,13 +120,16 @@ def homology_basis(complex_: SimplicialComplex, n: int) -> tuple[Chain, ...]:
     if n < 0 or n > complex_.dim:
         return ()
     data = chain_data(complex_)
-    boundaries = gf2.image_basis(data.boundary_matrix(n + 1))
-    span = gf2.Span(data.count(n), boundaries)
-    reps = []
-    for v in gf2.kernel_basis(data.boundary_matrix(n)):
-        if span.add(v):
-            reps.append(v)
+    reps = _kernel_modulo_image(data.boundary_matrix(n), data.boundary_matrix(n + 1))
     return tuple(chain_from_vector(data, n, v) for v in reps)
+
+
+def _kernel_modulo_image(m: gf2.Gf2Matrix, image_of: gf2.Gf2Matrix) -> list[gf2.Gf2Vector]:
+    """The vectors of the canonical kernel basis of m that are
+    independent modulo the image of image_of and the vectors kept
+    before them: a basis of ker m / im image_of, for m @ image_of = 0."""
+    span = gf2.Span(m.cols, gf2.image_basis(image_of))
+    return [v for v in gf2.kernel_basis(m) if span.add(v)]
 
 
 class HomologyProfile(Value):

@@ -14,11 +14,11 @@ contraction; the next stage starts from that snapshot.  Every recorded
 Betti entry is exact: it comes from a rank update whose witness is
 checked on the spot.
 
-- Collapse of (f, c), dim f = k: c has no coface and f has no strict
-  coface but c, so row f of d_(k+1) is a single 1 in column c and
-  rank d_(k+1) falls by exactly 1; the boundary of f is the sum of the
-  boundaries of the other facets of c, which stay, so rank d_k does
-  not move.  The Betti numbers are unchanged (the top one, then 0,
+- Collapse of (f, c), dim f = k: c has no coface and f has no
+  codimension-1 coface but c, so row f of d_(k+1) is a single 1 in
+  column c and rank d_(k+1) falls by exactly 1; the boundary of f is
+  the sum of the boundaries of the other facets of c, which stay, so
+  rank d_k does not move.  The Betti numbers are unchanged (the top one, then 0,
   goes when c was the last simplex of its dimension).
 - Excision of sigma with evidence z: d_2 z = 0, z lies on the current
   triangles and contains sigma, so column sigma of d_2 is a sum of
@@ -154,8 +154,7 @@ def _is_collapse_witness(work: WorkingComplex, face: Simplex, coface: Simplex) -
     for g in others:
         boundary.symmetric_difference_update(_facets(g))
     return (
-        work.strict_coface_count(coface) == 0
-        and work.strict_coface_count(face) == 1
+        not work.facet_cofaces(coface)
         and work.facet_cofaces(face) == {coface}
         and not boundary
         and all(g in work for g in others)

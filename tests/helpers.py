@@ -11,6 +11,7 @@ import random
 
 import covertype as ct
 from covertype.complexes import COLLAPSE, CONTRACTION, EXCISION
+from oracles import free_faces_reference
 
 SURFACE_FILES = (
     ("sphere_4", ct.SurfaceClass(True, 0)),
@@ -158,14 +159,14 @@ def randomized_thickening(seed):
     return complex_, surface, " ".join(log)
 
 
-def random_small_complex(rng, labels="abcdefghijkl"):
+def random_small_complex(rng, labels="abcdefghijkl", largest=4):
     """Random complex on at most 12 vertices: a handful of simplices of
-    dimension <= 3 plus their downward closure."""
+    at most `largest` vertices plus their downward closure."""
     n = rng.randint(3, len(labels))
     verts = list(labels[:n])
     faces = []
     for _ in range(rng.randint(2, 10)):
-        size = rng.randint(1, min(4, n))
+        size = rng.randint(1, min(largest, n))
         faces.append(rng.sample(verts, size))
     return ct.build_complex(faces)
 
@@ -174,19 +175,22 @@ def replay_from_scratch(complex_, trace):
     """Replay every move of a reduction of complex_ on frozen complexes
     with apply_move, recomputing each step from scratch: the Betti
     numbers after it, the free face a collapse must take (the
-    smallest), the excision the surplus-cycle search picks, and the
-    maximal edge a contraction must take.  Returns the final complex."""
+    smallest, also by the strict-coface reference), the excision the
+    surplus-cycle search picks, and the maximal edge a contraction
+    must take.  Returns the final complex."""
     current = complex_.skeleton(2)
     assert current.f_vector == trace.initial_f
     assert ct.betti_numbers(current) == trace.betti_steps[0]
     for move, betti in zip(trace.moves, trace.betti_steps[1:]):
         if move.kind == COLLAPSE:
             assert current.free_faces()[0] == move.simplices
+            assert free_faces_reference(current)[0] == move.simplices
         elif move.kind == EXCISION:
             found = ct.surplus_cycle(complex_, current.simplices(2))
             assert found == (move.aux, move.simplices[0])
         elif move.kind == CONTRACTION:
             assert not current.free_faces()
+            assert not free_faces_reference(current)
             maximal = [e for e in current.simplices(1) if not current._facet_cofaces[e]]
             assert maximal[0] == move.simplices[0]
         else:

@@ -176,13 +176,35 @@ def span_bits(vectors):
     return out
 
 
+def strict_coface_reference(complex_):
+    """Every simplex with the list of strictly larger simplices that
+    contain it, found by enumerating all 2^k - 2 proper faces of each
+    k-vertex simplex: the definition of a maximal simplex (an empty
+    list) and of a free face (a list of one) the package's
+    codimension-1 rule is checked against."""
+    cofaces = {s: [] for s in complex_.all_simplices()}
+    for s in complex_.all_simplices():
+        for k in range(1, len(s)):
+            for f in itertools.combinations(s, k):
+                cofaces[f].append(s)
+    return cofaces
+
+
+def free_faces_reference(complex_):
+    """Sorted (face, coface) pairs of the faces in exactly one strictly
+    larger simplex."""
+    return sorted((s, cof[0]) for s, cof in strict_coface_reference(complex_).items() if len(cof) == 1)
+
+
 def closed_surface_reference(complex_):
     """The closed-surface check built from one link() per vertex and one
     path_exists search per link vertex: O(f0 * sum f) membership tests.
     Returns the SurfaceCheckReport that check_closed_surface must give."""
     if complex_.is_empty:
         return SurfaceCheckReport(False, False, False, False)
-    bad_max = tuple(s for s in complex_.maximal_simplices() if len(s) != 3)
+    bad_max = tuple(
+        s for s, cof in sorted(strict_coface_reference(complex_).items()) if not cof and len(s) != 3
+    )
     pure = complex_.dim == 2 and not bad_max
     bad_edges = []
     for e in complex_.simplices(1):

@@ -27,6 +27,7 @@ from covertype.errors import (
 )
 
 from helpers import random_small_complex
+from oracles import strict_coface_reference
 
 
 def test_make_simplex_canonical_form():
@@ -336,6 +337,44 @@ def test_working_complex_follows_the_frozen_moves():
             assert work.freeze() == frozen and work.f_vector == frozen.f_vector
         maximal = [e for e in frozen.simplices(1) if not frozen._facet_cofaces[e]]
         assert work.smallest_maximal_edge() == (maximal[0] if maximal else None)
+
+
+def test_free_and_maximal_match_the_strict_coface_reference():
+    """maximal_simplices(), free_faces() and every smallest_free_face()
+    of a run agree with the strict cofaces counted over all proper
+    faces.  The runs collapse the smallest or a random free face, mixed
+    with excisions, on complexes with simplices of up to 5 vertices;
+    the frozen moves must give the same complexes and reject the same
+    faces."""
+    rng = random.Random(1105)
+    for _ in range(150):
+        frozen = random_small_complex(rng, largest=5)
+        work = WorkingComplex(frozen)
+        while True:
+            cofaces = strict_coface_reference(frozen)
+            maximal = sorted(s for s, cof in cofaces.items() if not cof)
+            free = sorted((s, cof[0]) for s, cof in cofaces.items() if len(cof) == 1)
+            assert frozen.maximal_simplices() == tuple(maximal)
+            assert frozen.free_faces() == tuple(free)
+            assert work.smallest_free_face() == (free[0] if free else None)
+            held = [s for s, cof in cofaces.items() if len(cof) != 1]
+            if held:
+                face = rng.choice(held)
+                for complex_ in (frozen, work):
+                    with pytest.raises(PreconditionError):
+                        ct.collapse_free_face(complex_, face)
+            tops = [t for t in maximal if len(t) == 3]
+            if tops and rng.random() < 0.25:
+                t = rng.choice(tops)
+                ct.remove_two_simplex(work, t)
+                frozen, _ = ct.remove_two_simplex(frozen, t)
+            elif free:
+                face = free[0][0] if rng.random() < 0.5 else rng.choice(free)[0]
+                ct.collapse_free_face(work, face)
+                frozen, _ = ct.collapse_free_face(frozen, face)
+            else:
+                break
+            assert work.freeze() == frozen
 
 
 def test_working_complex_rejects_invalid_moves():
