@@ -57,20 +57,34 @@ def _check_degree_one(complex_: SimplicialComplex, cochain: Cochain) -> None:
         raise PreconditionError("cochain is indexed against a different complex")
 
 
+@per_complex
+def _cup_table(complex_: SimplicialComplex) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per edge, the triangles whose front edge (v0 v1) is that edge and
+    those whose back edge (v1 v2) is, as bit sets over the triangles."""
+    data = chain_data(complex_)
+    front, back = [0] * data.count(1), [0] * data.count(1)
+    for t, (v0, v1, v2) in enumerate(complex_.simplices(2)):
+        front[data.index[1][(v0, v1)]] |= 1 << t
+        back[data.index[1][(v1, v2)]] |= 1 << t
+    return tuple(front), tuple(back)
+
+
+def _triangles(table: tuple[int, ...], cochain: Cochain) -> int:
+    """The union of the table's entries at the cochain's support."""
+    out = 0
+    for e in cochain.values.support():
+        out |= table[e]
+    return out
+
+
 def cup_1_1(complex_: SimplicialComplex, alpha: Cochain, beta: Cochain) -> Cochain:
-    """Cup product of two 1-cochains, a 2-cochain."""
+    """Cup product of two 1-cochains, a 2-cochain: 1 on the triangles
+    whose front edge alpha and whose back edge beta take to 1."""
     _check_degree_one(complex_, alpha)
     _check_degree_one(complex_, beta)
-    data = chain_data(complex_)
-    edge_index = data.index[1] if len(data.index) > 1 else {}
-    bits = 0
-    for t, (v0, v1, v2) in enumerate(data.simplices[2] if complex_.dim >= 2 else ()):
-        front = edge_index[(v0, v1)]
-        back = edge_index[(v1, v2)]
-        if alpha.values[front] and beta.values[back]:
-            bits |= 1 << t
-    n2 = len(complex_.simplices(2))
-    return Cochain(2, gf2.Gf2Vector(n2, bits))
+    front, back = _cup_table(complex_)
+    bits = _triangles(front, alpha) & _triangles(back, beta)
+    return Cochain(2, gf2.Gf2Vector(len(complex_.simplices(2)), bits))
 
 
 @per_complex
@@ -122,17 +136,18 @@ class PairingTensor(Value):
 
 @per_complex
 def pairing_tensor(complex_: SimplicialComplex) -> PairingTensor:
+    """(alpha_i . alpha_j)(z_k): the parity of the triangles of z_k
+    whose front edge alpha_i and back edge alpha_j take to 1."""
     data = chain_data(complex_)
     classes = h1_cocycle_basis(complex_)
-    cycles = [chain_vector(data, 2, z) for z in homology_basis(complex_, 2)]
-    entries = []
-    for a in classes:
-        row = []
-        for b in classes:
-            product = cup_1_1(complex_, a, b)
-            row.append(tuple(product.values.dot(z) for z in cycles))
-        entries.append(tuple(row))
-    return PairingTensor(len(classes), len(cycles), tuple(entries))
+    cycles = [chain_vector(data, 2, z).bits for z in homology_basis(complex_, 2)]
+    front, back = _cup_table(complex_)
+    fronts = [_triangles(front, a) for a in classes]
+    backs = [_triangles(back, b) for b in classes]
+    entries = tuple(
+        tuple(tuple((f & b & z).bit_count() & 1 for z in cycles) for b in backs) for f in fronts
+    )
+    return PairingTensor(len(classes), len(cycles), entries)
 
 
 @per_complex

@@ -75,7 +75,12 @@ def check_label(label: str) -> str:
 
 def make_simplex(vertices: Iterable[str]) -> Simplex:
     """Canonical (ascending) form of a simplex given by its vertices."""
-    vs = tuple(sorted(check_label(v) for v in vertices))
+    return _sorted_simplex([check_label(v) for v in vertices])
+
+
+def _sorted_simplex(labels: list[str]) -> Simplex:
+    """make_simplex on labels that passed check_label."""
+    vs = tuple(sorted(labels))
     if not vs:
         raise MalformedInputError("a simplex needs at least one vertex")
     for a, b in zip(vs, vs[1:]):
@@ -164,13 +169,15 @@ class SimplicialComplex(Value):
     @cached_property
     def _facet_cofaces(self) -> dict[Simplex, tuple[Simplex, ...]]:
         """Codimension-1 cofaces of every simplex, the one incidence
-        table of the complex; its keys are the simplices."""
+        table of the complex; its keys are the simplices.  Each list is
+        filled from one dimension group, in its canonical order, so it
+        comes out sorted."""
         cof: dict[Simplex, list[Simplex]] = {s: [] for s in self.all_simplices()}
         for group in self.by_dim[1:]:
             for s in group:
                 for i in range(len(s)):
                     cof[s[:i] + s[i + 1 :]].append(s)
-        return {s: tuple(sorted(v)) for s, v in cof.items()}
+        return {s: tuple(v) for s, v in cof.items()}
 
     def maximal_simplices(self) -> tuple[Simplex, ...]:
         """The simplices with no codimension-1 coface, which in a
@@ -317,8 +324,13 @@ def per_complex(fn: Callable[[SimplicialComplex], T]) -> Callable[[SimplicialCom
 def build_complex(maximal_simplices: Iterable[Iterable[str]]) -> SimplicialComplex:
     """Downward closure of the given simplices."""
     closure: set[Simplex] = set()
+    checked: set[str] = set()  # each distinct label is checked once
     for raw in maximal_simplices:
-        s = make_simplex(raw)
+        labels = list(raw)
+        for v in labels:
+            if not (isinstance(v, str) and v in checked):
+                checked.add(check_label(v))
+        s = _sorted_simplex(labels)
         for k in range(1, len(s) + 1):
             closure.update(itertools.combinations(s, k))
     return SimplicialComplex.from_simplices(closure)

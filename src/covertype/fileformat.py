@@ -63,6 +63,7 @@ class ComplexFile(Value):
 def parse_complex_text(text: str) -> ComplexFile:
     surface: str | None = None
     simplices: list[tuple[str, ...]] = []
+    checked: set[str] = set()  # each distinct label is checked once
     faces = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw
@@ -89,10 +90,11 @@ def parse_complex_text(text: str) -> ComplexFile:
             )
         seen = set()
         for t in tokens:
-            try:
-                check_label(t)
-            except MalformedInputError as err:
-                raise ParseError(str(err), line=lineno) from err
+            if t not in checked:
+                try:
+                    checked.add(check_label(t))
+                except MalformedInputError as err:
+                    raise ParseError(str(err), line=lineno) from err
             if t in seen:
                 raise ParseError(f"duplicate vertex {t!r} in simplex", line=lineno)
             seen.add(t)

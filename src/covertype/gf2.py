@@ -10,12 +10,15 @@ set bit, and reduces each new vector against it.  `rank` reads off the
 number of pivots and never back-substitutes.  `kernel_basis`,
 `image_basis`, `solve` and `subspace_intersection` back-substitute once
 and return canonical (reduced row echelon) results; the rest of the
-package relies on that for deterministic tie-breaking.
+package relies on that for deterministic tie-breaking.  `rank` and
+`kernel_basis` eliminate the side with fewer vectors: the rows of a
+wide matrix, the columns of a tall one.  A matrix keeps its transpose
+in its own __dict__, which does not point back: no reference cycle.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import PreconditionError
 from .value import Value
@@ -30,6 +33,14 @@ __all__ = [
     "solve",
     "subspace_intersection",
 ]
+
+
+def _bit_indices(bits: int) -> Iterator[int]:
+    """The indices of the set bits, ascending, in O(weight) steps."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 class Gf2Vector(Value):
@@ -93,7 +104,7 @@ class Gf2Vector(Value):
         return (self.bits & other.bits).bit_count() & 1
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.length) if (self.bits >> i) & 1)
+        return tuple(_bit_indices(self.bits))
 
     def coords(self) -> list[int]:
         return [(self.bits >> i) & 1 for i in range(self.length)]
@@ -178,13 +189,16 @@ class Gf2Matrix(Value):
         return Gf2Vector(self.rows, bits)
 
     def transpose(self) -> "Gf2Matrix":
-        out = [0] * self.cols
-        for i, r in enumerate(self.row_bits):
-            while r:
-                lsb = r & -r
-                out[lsb.bit_length() - 1] |= 1 << i
-                r ^= lsb
-        return Gf2Matrix(self.cols, self.rows, tuple(out))
+        memo = self.__dict__
+        if "_transpose" not in memo:
+            out = [0] * self.cols
+            for i, r in enumerate(self.row_bits):
+                while r:
+                    lsb = r & -r
+                    out[lsb.bit_length() - 1] |= 1 << i
+                    r ^= lsb
+            memo["_transpose"] = Gf2Matrix(self.cols, self.rows, tuple(out))
+        return memo["_transpose"]
 
     def __matmul__(self, other):
         if isinstance(other, Gf2Vector):
@@ -225,17 +239,29 @@ def kernel_basis(m: Gf2Matrix) -> list[Gf2Vector]:
     One basis vector per free column, in ascending column order, each
     with a 1 in its free coordinate; this is the reduced-echelon kernel
     basis, so equal matrices always yield the identical list.
+
+    A tall matrix reduces its columns in order, each carrying above bit
+    m.rows the set of columns it sums.  A column reducing to zero is
+    free, and that set, its column plus stored rows that each sum
+    columns that were not free, is its canonical vector.
     """
+    if m.rows > m.cols:
+        span = Span(m.rows + m.cols)
+        basis = []
+        for j, col in enumerate(m.transpose().row_bits):
+            bits = span._reduce(col | 1 << (m.rows + j))
+            if (bits & -bits) >> m.rows:  # the column part reduced to zero
+                basis.append(Gf2Vector(m.cols, bits >> m.rows))
+            else:
+                span._insert(bits)
+        return basis
     rows = Span._of_bits(m.cols, m.row_bits)._reduced_rows()
     pivots = {p for p, _ in rows}
     basis = {f: 1 << f for f in range(m.cols) if f not in pivots}
     # a reduced row is its pivot plus free columns: x_p = sum of those x_f
     for p, row in rows:
-        free = row ^ (1 << p)
-        while free:
-            low = free & -free
-            basis[low.bit_length() - 1] |= 1 << p
-            free ^= low
+        for f in _bit_indices(row ^ (1 << p)):
+            basis[f] |= 1 << p
     return [Gf2Vector(m.cols, bits) for bits in basis.values()]
 
 
@@ -356,10 +382,7 @@ class Span:
             mask |= 1 << p
         reduced: dict[int, int] = {}
         for p, row in sorted(self._pivots.items(), reverse=True):
-            others = (row & mask) ^ (1 << p)
-            while others:
-                low = others & -others
-                row ^= reduced[low.bit_length() - 1]
-                others ^= low
+            for q in _bit_indices((row & mask) ^ (1 << p)):
+                row ^= reduced[q]
             reduced[p] = row
         return sorted(reduced.items())

@@ -127,9 +127,37 @@ def homology_basis(complex_: SimplicialComplex, n: int) -> tuple[Chain, ...]:
 def _kernel_modulo_image(m: gf2.Gf2Matrix, image_of: gf2.Gf2Matrix) -> list[gf2.Gf2Vector]:
     """The vectors of the canonical kernel basis of m that are
     independent modulo the image of image_of and the vectors kept
-    before them: a basis of ker m / im image_of, for m @ image_of = 0."""
-    span = gf2.Span(m.cols, gf2.image_basis(image_of))
-    return [v for v in gf2.kernel_basis(m) if span.add(v)]
+    before them: a basis of ker m / im image_of, for m @ image_of = 0.
+
+    A tall m has a small kernel, walked as said.  For a wide m, taking
+    the coordinates in its free columns F maps ker m onto GF(2)^F, v_f
+    to e_f, and the image onto W, the column space of image_of's rows
+    in F, so v_f is dropped exactly when f is a highest-bit pivot of W.
+    The other f are the lowest-bit pivots of W's orthogonal complement,
+    the kernel of the transpose of those rows: with W reduced by
+    highest bit, e_g plus the pivots of the rows having bit g is
+    orthogonal to W with lowest bit g.  For delta^1 modulo delta^0, by
+    B^1 = Z_1-perp, that kernel is the cycle space of the graph on the
+    free edges.  Each kept v_f is read off m's echelon rows, highest
+    pivot p first: a row has no bit below its pivot, so v_f[p] is the
+    parity of the row's bits among those of v_f already set.
+    """
+    if m.rows > m.cols:
+        span = gf2.Span(m.cols, gf2.image_basis(image_of))
+        return [v for v in gf2.kernel_basis(m) if span.add(v)]
+    echelon = gf2.Span._of_bits(m.cols, m.row_bits)._pivots
+    free = [f for f in range(m.cols) if f not in echelon]
+    on_free = gf2.Gf2Matrix(len(free), image_of.cols, tuple(image_of.row_bits[f] for f in free))
+    cycles = gf2.kernel_basis(on_free.transpose())
+    rows = sorted(echelon.items(), reverse=True)
+    reps = []
+    for i in sorted(gf2.Span(len(free), cycles)._pivots):
+        bits = 1 << free[i]
+        for p, row in rows:
+            if (row & bits).bit_count() & 1:
+                bits |= 1 << p
+        reps.append(gf2.Gf2Vector(m.cols, bits))
+    return reps
 
 
 class HomologyProfile(Value):

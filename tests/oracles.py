@@ -111,6 +111,19 @@ def image_reference(m):
     return rows[: len(pivots)]
 
 
+def kernel_modulo_image_reference(m, image_of):
+    """Bit patterns of a basis of ker m / im image_of, by the walk: each
+    vector of the canonical kernel basis of m, in order, is kept when it
+    raises the rank of the image together with the vectors kept so far."""
+    span = image_reference(image_of)
+    kept = []
+    for v in kernel_reference(m):
+        if len(rref_reference(span + [v], m.cols)[1]) > len(rref_reference(span, m.cols)[1]):
+            span.append(v)
+            kept.append(v)
+    return kept
+
+
 def solve_reference(m, b_bits):
     """Bit pattern of the solution of m x = b with free variables 0, or
     None when there is none."""

@@ -22,6 +22,8 @@ from covertype.cohomology import (
 from covertype.homology import chain_data, chain_vector, homology_basis
 from covertype.errors import PreconditionError
 
+from helpers import barycentric_subdivision
+
 
 def random_cochain(rng, complex_, degree):
     n = len(complex_.simplices(degree))
@@ -143,6 +145,43 @@ def test_pairing_tensor_empty_when_h1_vanishes(sphere):
     tensor = pairing_tensor(sphere)
     assert (tensor.b1, tensor.b2) == (0, 1)
     assert tensor.entries == ()
+
+
+def _bundled_and_subdivided():
+    out = []
+    for name in ct.bundled_names():
+        k = ct.load_bundled(name)
+        out += [(name, k), (f"{name}-sd1", barycentric_subdivision(k))]
+    return out
+
+
+BUNDLED_AND_SUBDIVIDED = _bundled_and_subdivided()
+
+
+@pytest.mark.parametrize(
+    "name,complex_", BUNDLED_AND_SUBDIVIDED, ids=[c[0] for c in BUNDLED_AND_SUBDIVIDED]
+)
+def test_pairing_tensor_is_the_cup_products_on_the_cycles(name, complex_):
+    """Every entry of the tensor is the cup product of its two classes,
+    one product at a time, evaluated on its 2-cycle; and each product is
+    the front-face/back-face rule applied triangle by triangle."""
+    data = chain_data(complex_)
+    edge = data.index[1]
+    classes = h1_cocycle_basis(complex_)
+    cycles = [chain_vector(data, 2, z) for z in homology_basis(complex_, 2)]
+    expected = []
+    for a in classes:
+        row = []
+        for b in classes:
+            product = cup_1_1(complex_, a, b)
+            assert product.values.support() == tuple(
+                t
+                for t, (v0, v1, v2) in enumerate(complex_.simplices(2))
+                if a.values[edge[(v0, v1)]] and b.values[edge[(v1, v2)]]
+            )
+            row.append(tuple(product.values.dot(z) for z in cycles))
+        expected.append(tuple(row))
+    assert pairing_tensor(complex_).entries == tuple(expected)
 
 
 def test_property_a_degenerate_cases():

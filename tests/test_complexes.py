@@ -91,6 +91,31 @@ def test_link_of_missing_vertex():
         k.link("e")
 
 
+def test_build_complex_checks_every_simplex():
+    """Each label is checked once, but every simplex is checked for a
+    repeated vertex, and a bad label is caught wherever it appears."""
+    with pytest.raises(MalformedInputError, match="duplicate vertex 'b'"):
+        ct.build_complex([("a", "b"), ("b", "c"), ("b", "b")])
+    with pytest.raises(MalformedInputError, match="non-empty strings"):
+        ct.build_complex([("a", "b"), ("a", 1)])
+    with pytest.raises(MalformedInputError, match="non-empty strings"):
+        ct.build_complex([("a", "b"), (["a"],)])
+    with pytest.raises(MalformedInputError, match="at least one vertex"):
+        ct.build_complex([("a", "b"), ()])
+
+
+def test_facet_cofaces_list_the_codimension_one_cofaces_in_order():
+    rng = random.Random(11)
+    complexes = [ct.load_bundled(name) for name in ct.bundled_names()]
+    complexes += [random_small_complex(rng, largest=5) for _ in range(40)]
+    for k in complexes:
+        reference = strict_coface_reference(k)
+        table = k._facet_cofaces
+        assert list(table) == list(k.all_simplices())
+        for s, cofaces in table.items():
+            assert list(cofaces) == [c for c in reference[s] if len(c) == len(s) + 1]
+
+
 def test_free_faces_of_lone_triangle():
     k = ct.build_complex([("a", "b", "c")])
     assert k.free_faces() == (

@@ -55,6 +55,16 @@ def test_parse_errors_carry_line_numbers():
     assert info.value.line == 2
     assert "line 2" in str(info.value)
 
+    # labels are checked once each, but a duplicate is caught on every line
+    with pytest.raises(ParseError) as info:
+        parse_complex_text("a b c\nb c d\nc d d\n")
+    assert info.value.line == 3
+    assert "duplicate vertex 'd'" in str(info.value)
+    with pytest.raises(ParseError) as info:
+        parse_complex_text("a b\nb c\nc\x07 d\n")
+    assert info.value.line == 3
+    assert "invalid vertex label" in str(info.value)
+
     with pytest.raises(ParseError) as info:
         parse_complex_text("")
     assert info.value.line is None

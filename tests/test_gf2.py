@@ -3,7 +3,9 @@ elimination and brute-force span enumeration on small random instances."""
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -80,6 +82,32 @@ def test_transpose_involution():
     assert (t.rows, t.cols) == (8, 5)
     assert all(t.entry(j, i) == m.entry(i, j) for i in range(5) for j in range(8))
     assert t.transpose() == m
+
+
+def test_transpose_is_computed_once_without_a_cycle():
+    rng = random.Random(3)
+    m = random_matrix(rng, 6, 4)
+    t = m.transpose()
+    assert m.transpose() is t
+    assert t.transpose() == m and t.transpose() is not m
+    # only the matrix points at its transpose, so dropping the matrix
+    # frees it without the cycle collector
+    gc.disable()
+    try:
+        ref = weakref.ref(m)
+        del m
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_kernel_of_a_tall_matrix():
+    # columns c0, c1, c0 + c1, c1, 0 of a 7 x 5 matrix: free columns 2, 3, 4
+    c0, c1 = 0b1010011, 0b0110101
+    m = gf2.Gf2Matrix.from_columns(
+        [gf2.Gf2Vector(7, bits) for bits in (c0, c1, c0 ^ c1, c1, 0)]
+    )
+    assert [v.support() for v in gf2.kernel_basis(m)] == [(0, 1, 2), (1, 3), (4,)]
 
 
 def test_matmul_identities():

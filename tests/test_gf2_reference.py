@@ -2,7 +2,8 @@
 oracles.py: rank, kernel, image, solve, intersection and Span must agree
 exactly (the canonical results bit for bit), on Hypothesis-generated
 matrices and on the boundary matrices of the bundled complexes and their
-first subdivisions."""
+first subdivisions.  So must the quotient basis ker m / im A that the
+homology and cohomology bases are read from."""
 
 from __future__ import annotations
 
@@ -15,11 +16,12 @@ from hypothesis import strategies as st
 
 import covertype as ct
 from covertype import gf2
-from covertype.homology import chain_data
+from covertype.homology import _kernel_modulo_image, chain_data
 from helpers import barycentric_subdivision
 from oracles import (
     image_reference,
     intersection_reference,
+    kernel_modulo_image_reference,
     kernel_reference,
     rref_reference,
     solve_reference,
@@ -41,12 +43,18 @@ def _random_bits(rng, width, density):
 @st.composite
 def matrices(draw, max_dim=200):
     """Dense, sparse and low-rank matrices, tall or wide, up to max_dim
-    rows and columns, including empty ones."""
+    rows and columns, including empty ones.  "nearly-tall" has a few
+    more rows than columns, so that a tall matrix often has a kernel."""
     rng = draw(st.randoms(use_true_random=False))
-    shape = draw(st.sampled_from(("square", "tall", "wide")))
+    shape = draw(st.sampled_from(("square", "tall", "nearly-tall", "wide")))
     big = draw(st.integers(0, max_dim))
     small = draw(st.integers(0, max(1, big // 4)))
-    rows, cols = {"square": (big, big), "tall": (big, small), "wide": (small, big)}[shape]
+    rows, cols = {
+        "square": (big, big),
+        "tall": (big, small),
+        "nearly-tall": (big, big - small),
+        "wide": (small, big),
+    }[shape]
     kind = draw(st.sampled_from(("dense", "sparse", "low-rank")))
     if kind == "low-rank":
         inner = draw(st.integers(0, 6))
@@ -73,6 +81,51 @@ def check_against_reference(m):
 @given(matrices())
 def test_matrix_kernel_agrees_with_reference(m):
     check_against_reference(m)
+
+
+@st.composite
+def kernel_image_pairs(draw, max_dim=40):
+    """(m, a) with m @ a = 0, m tall, wide or without rows: a has
+    random low rank, and each row of m is a random sum of some of the
+    basis vectors of the kernel of a's transpose, so that ker m / im a
+    is often nonzero."""
+    rng = draw(st.randoms(use_true_random=False))
+    shape = draw(st.sampled_from(("tall", "wide", "empty")))
+    n = draw(st.integers(0, max_dim))
+    inner = draw(st.integers(0, n))
+    k = draw(st.integers(0, max_dim))
+    left = gf2.Gf2Matrix(n, inner, tuple(rng.getrandbits(inner) for _ in range(n)))
+    right = gf2.Gf2Matrix(inner, k, tuple(rng.getrandbits(k) for _ in range(inner)))
+    a = left @ right
+    rows = {"tall": n + 1 + draw(st.integers(0, n)), "wide": draw(st.integers(0, n)), "empty": 0}
+    dual = kernel_reference(a.transpose())
+    dual = rng.sample(dual, draw(st.integers(0, len(dual))))
+    m_rows = []
+    for _ in range(rows[shape]):
+        bits = 0
+        for v in dual:
+            if rng.random() < 0.5:
+                bits ^= v
+        m_rows.append(bits)
+    return gf2.Gf2Matrix(len(m_rows), n, tuple(m_rows)), a
+
+
+@settings(SETTINGS, max_examples=150)
+@given(kernel_image_pairs())
+def test_kernel_modulo_image_agrees_with_reference(pair):
+    m, a = pair
+    assert (m @ a).is_zero()
+    kept = _bits(_kernel_modulo_image(m, a))
+    assert kept == kernel_modulo_image_reference(m, a)
+    assert len(kept) == m.cols - gf2.rank(m) - gf2.rank(a)
+
+
+@SETTINGS
+@given(st.integers(0, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2**n - 1))))
+def test_vector_support_lists_the_set_coordinates(case):
+    n, bits = case
+    v = gf2.Gf2Vector(n, bits)
+    assert v.support() == tuple(i for i, c in enumerate(v.coords()) if c)
 
 
 @SETTINGS
