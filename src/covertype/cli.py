@@ -1,10 +1,15 @@
 """Command-line interface.
 
-Exit codes: 0 = success (and "yes" for the boolean commands), 1 = a
-domain-negative answer or a pipeline failure, 2 = unusable input
-(parse/usage errors).  With --machine the output is stable
-"key: value" lines; --quiet suppresses stdout entirely and leaves the
-answer to the exit code.
+Each command returns its exit code and one ordered list of (key, value)
+fields, and `main` prints that list.  Exit codes: 0 = success (and
+"yes" for the boolean commands), 1 = a domain-negative answer or a
+pipeline failure, 2 = unusable input (parse/usage errors).  With
+--machine every field is a "key: value" line, tuples of ints joined by
+spaces and booleans as true/false; only this output is stable.  Without
+it every labelled field is a "label: value" line, tuples as (7, 21, 14)
+and booleans as yes/no; command, input and sha256 are machine-only.
+--quiet suppresses stdout entirely and leaves the answer to the exit
+code.
 """
 
 from __future__ import annotations
@@ -36,29 +41,69 @@ from .surfaces import (
 
 __all__ = ["main"]
 
+# the human label of each field key; a key without one is machine-only
+_LABELS = {
+    "surface": "surface",
+    "class": "class",
+    "orientable": "orientable",
+    "genus": "genus",
+    "f_vector": "f-vector",
+    "chi": "Euler characteristic",
+    "betti": "mod-2 Betti numbers",
+    "b1": "b1",
+    "b2": "b2",
+    "property_a": "property A",
+    "witness": "witness class (all cup products vanish)",
+    "pure_two_dimensional": "pure 2-dimensional",
+    "every_edge_in_two_triangles": "every edge in exactly 2 triangles",
+    "strongly_connected": "strongly connected",
+    "all_links_single_circles": "all vertex links single circles",
+    "verdict": "closed surface",
+    "bad_maximal_simplices": "maximal simplices of wrong dimension",
+    "bad_edges": "edges with triangle count != 2",
+    "components": "triangle components",
+    "bad_vertices": "vertices whose link is not a single circle",
+    "rho": "rho",
+    "delta": "delta",
+    "covering_type": "covering type",
+    "skeleton_f_vector": "2-skeleton f-vector",
+    "excisions": "excisions",
+    "collapses": "collapses",
+    "contractions": "contractions",
+    "final_f_vector": "final f-vector",
+    "alpha0": "alpha0",
+    "triangles_cover_edges": "3*a2 >= 2*a1",
+    "simple_graph_bound": "2*a1 <= a0*(a0-1)",
+    "euler_vertex_bound": "6*chi >= 6*a0 - a0*(a0-1)",
+    "property_a_final": "property A after reduction",
+    "closed_surface": "closed-surface check",
+    "output": "wrote",
+}
 
-def _ints(values) -> str:
-    return " ".join(str(v) for v in values)
+
+def _text(value, machine: bool) -> str:
+    if isinstance(value, bool):
+        return ("true" if value else "false") if machine else ("yes" if value else "no")
+    if isinstance(value, tuple):
+        items = [str(v) for v in value]
+        return " ".join(items) if machine else f"({', '.join(items)})"
+    return str(value)
 
 
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
+def _load(args) -> tuple[SimplicialComplex, list]:
+    """The input's complex, and the header fields that identify it."""
+    parsed = parse_complex_file(args.file)
+    header = [("command", args.subcommand), ("input", args.file), ("sha256", parsed.sha256)]
+    return parsed.complex(), header
 
 
-def _emit(args, fields: list[tuple[str, str]], human: list[str]) -> None:
-    if args.quiet:
-        return
-    if args.machine:
-        for key, value in fields:
-            print(f"{key}: {value}")
-    else:
-        for line in human:
-            print(line)
-
-
-def _load(path) -> tuple[SimplicialComplex, str]:
-    parsed = parse_complex_file(path)
-    return parsed.complex(), parsed.sha256
+def _surface_bounds(surface: SurfaceClass) -> list:
+    return [
+        ("chi", surface.chi),
+        ("rho", rho(surface.chi)),
+        ("delta", delta(surface)),
+        ("covering_type", covering_type(surface)),
+    ]
 
 
 def _infer_surface(complex_: SimplicialComplex) -> SurfaceClass:
@@ -78,214 +123,103 @@ def _infer_surface(complex_: SimplicialComplex) -> SurfaceClass:
     )
 
 
-def cmd_homology(args) -> int:
-    complex_, digest = _load(args.file)
-    f = complex_.f_vector
-    chi = complex_.euler_characteristic()
-    betti = betti_numbers(complex_)
-    _emit(
-        args,
-        [
-            ("command", "homology"),
-            ("input", str(args.file)),
-            ("sha256", digest),
-            ("f_vector", _ints(f)),
-            ("chi", str(chi)),
-            ("betti", _ints(betti)),
-        ],
-        [
-            f"f-vector: {f}",
-            f"Euler characteristic: {chi}",
-            f"mod-2 Betti numbers: {betti}",
-        ],
-    )
-    return 0
+def cmd_homology(args) -> tuple[int, list]:
+    complex_, fields = _load(args)
+    return 0, fields + [
+        ("f_vector", complex_.f_vector),
+        ("chi", complex_.euler_characteristic()),
+        ("betti", betti_numbers(complex_)),
+    ]
 
 
-def cmd_property_a(args) -> int:
-    complex_, digest = _load(args.file)
+def cmd_property_a(args) -> tuple[int, list]:
+    complex_, fields = _load(args)
     tensor = pairing_tensor(complex_)
     witness = property_a_witness(complex_)
-    holds = witness is None
-    fields = [
-        ("command", "property-a"),
-        ("input", str(args.file)),
-        ("sha256", digest),
-        ("b1", str(tensor.b1)),
-        ("b2", str(tensor.b2)),
-        ("property_a", _bool(holds)),
-    ]
-    human = [
-        f"b1 = {tensor.b1}, b2 = {tensor.b2}",
-        f"property A: {'holds' if holds else 'fails'}",
-    ]
-    if not holds:
-        edges = "; ".join(" ".join(e) for e in cochain_support(complex_, witness))
-        fields.append(("witness", edges))
-        human.append(f"witness class (all cup products vanish): {edges}")
-    _emit(args, fields, human)
-    return 0 if holds else 1
+    fields += [("b1", tensor.b1), ("b2", tensor.b2), ("property_a", witness is None)]
+    if witness is None:
+        return 0, fields
+    edges = "; ".join(" ".join(e) for e in cochain_support(complex_, witness))
+    return 1, fields + [("witness", edges)]
 
 
-def cmd_surface(args) -> int:
-    complex_, digest = _load(args.file)
+def cmd_surface(args) -> tuple[int, list]:
+    complex_, fields = _load(args)
     report = check_closed_surface(complex_)
-    fields = [
-        ("command", "surface"),
-        ("input", str(args.file)),
-        ("sha256", digest),
-        ("pure_two_dimensional", _bool(report.pure_two_dimensional)),
-        ("every_edge_in_two_triangles", _bool(report.every_edge_in_two_triangles)),
-        ("strongly_connected", _bool(report.strongly_connected)),
-        ("all_links_single_circles", _bool(report.all_links_single_circles)),
-        ("verdict", _bool(report.verdict)),
-    ]
-    human = [
-        f"pure 2-dimensional: {'yes' if report.pure_two_dimensional else 'no'}",
-        f"every edge in exactly 2 triangles: {'yes' if report.every_edge_in_two_triangles else 'no'}",
-        f"strongly connected: {'yes' if report.strongly_connected else 'no'}",
-        f"all vertex links single circles: {'yes' if report.all_links_single_circles else 'no'}",
-        f"closed surface: {'yes' if report.verdict else 'no'}",
+    fields += [
+        ("pure_two_dimensional", report.pure_two_dimensional),
+        ("every_edge_in_two_triangles", report.every_edge_in_two_triangles),
+        ("strongly_connected", report.strongly_connected),
+        ("all_links_single_circles", report.all_links_single_circles),
+        ("verdict", report.verdict),
     ]
     if report.verdict:
         surface = classify_surface(complex_)
-        chi = surface.chi
         fields += [
             ("class", surface.name),
-            ("orientable", _bool(surface.orientable)),
-            ("genus", str(surface.genus)),
-            ("chi", str(chi)),
-            ("rho", str(rho(chi))),
-            ("delta", str(delta(surface))),
-            ("covering_type", str(covering_type(surface))),
+            ("orientable", surface.orientable),
+            ("genus", surface.genus),
         ]
-        human += [
-            f"class: {surface.name} ({'orientable' if surface.orientable else 'non-orientable'},"
-            f" genus {surface.genus}, chi {chi})",
-            f"rho = {rho(chi)}, delta = {delta(surface)}, covering type = {covering_type(surface)}",
-        ]
-    else:
-        if report.bad_maximal_simplices:
-            witness = "; ".join(" ".join(s) for s in report.bad_maximal_simplices)
-            fields.append(("bad_maximal_simplices", witness))
-            human.append(f"maximal simplices of wrong dimension: {witness}")
-        if report.bad_edges:
-            witness = "; ".join(f"{' '.join(e)} ({c})" for e, c in report.bad_edges)
-            fields.append(("bad_edges", witness))
-            human.append(f"edges with triangle count != 2: {witness}")
-        if not report.strongly_connected:
-            fields.append(("components", str(report.component_count)))
-            human.append(f"triangle components: {report.component_count}")
-        if report.bad_vertices:
-            witness = " ".join(report.bad_vertices)
-            fields.append(("bad_vertices", witness))
-            human.append(f"vertices whose link is not a single circle: {witness}")
-    _emit(args, fields, human)
-    return 0 if report.verdict else 1
+        return 0, fields + _surface_bounds(surface)
+    if report.bad_maximal_simplices:
+        witness = "; ".join(" ".join(s) for s in report.bad_maximal_simplices)
+        fields.append(("bad_maximal_simplices", witness))
+    if report.bad_edges:
+        witness = "; ".join(f"{' '.join(e)} ({c})" for e, c in report.bad_edges)
+        fields.append(("bad_edges", witness))
+    if not report.strongly_connected:
+        fields.append(("components", report.component_count))
+    if report.bad_vertices:
+        fields.append(("bad_vertices", " ".join(report.bad_vertices)))
+    return 1, fields
 
 
-def cmd_reduce(args) -> int:
-    complex_, digest = _load(args.file)
+def cmd_reduce(args) -> tuple[int, list]:
+    complex_, fields = _load(args)
     surface = surface_from_name(args.surface) if args.surface else _infer_surface(complex_)
     final, trace, certificate = reduce_to_certificate(complex_, surface)
     write_complex_file(final, args.out)
     counts = trace.move_counts()
-    fields = [
-        ("command", "reduce"),
-        ("input", str(args.file)),
-        ("sha256", digest),
+    return 0, fields + [
         ("surface", surface.name),
-        ("betti", _ints(trace.betti_steps[-1])),
-        ("skeleton_f_vector", _ints(trace.initial_f)),
-        ("excisions", str(counts.get("simplex-excision", 0))),
-        ("collapses", str(counts.get("collapse", 0))),
-        ("contractions", str(counts.get("edge-contraction", 0))),
-        ("final_f_vector", _ints(certificate.f_vector)),
-        ("chi", str(certificate.chi)),
-        ("rho", str(certificate.rho)),
-        ("alpha0", str(certificate.f_vector[0])),
-        ("triangles_cover_edges", _bool(certificate.triangles_cover_edges)),
-        ("simple_graph_bound", _bool(certificate.simple_graph_bound)),
-        ("euler_vertex_bound", _bool(certificate.euler_vertex_bound)),
-        ("property_a_final", _bool(trace.property_a_final)),
-        ("output", str(args.out)),
+        ("betti", trace.betti_steps[-1]),
+        ("skeleton_f_vector", trace.initial_f),
+        ("excisions", counts.get("simplex-excision", 0)),
+        ("collapses", counts.get("collapse", 0)),
+        ("contractions", counts.get("edge-contraction", 0)),
+        ("final_f_vector", certificate.f_vector),
+        ("chi", certificate.chi),
+        ("rho", certificate.rho),
+        ("alpha0", certificate.f_vector[0]),
+        ("triangles_cover_edges", certificate.triangles_cover_edges),
+        ("simple_graph_bound", certificate.simple_graph_bound),
+        ("euler_vertex_bound", certificate.euler_vertex_bound),
+        ("property_a_final", trace.property_a_final),
+        ("output", args.out),
     ]
-    human = [
-        f"surface: {surface.name} (chi {certificate.chi})",
-        f"pipeline: {counts.get('simplex-excision', 0)} excisions,"
-        f" {counts.get('collapse', 0)} collapses,"
-        f" {counts.get('edge-contraction', 0)} contractions",
-        f"f-vector: {trace.initial_f} -> {certificate.f_vector}",
-        "checked: 3*a2 >= 2*a1; 2*a1 <= a0*(a0-1); 6*chi >= 6*a0 - a0*(a0-1)",
-        f"vertex bound: alpha0 = {certificate.f_vector[0]} >= rho = {certificate.rho}",
-        f"wrote reduced complex to {args.out}",
-    ]
-    _emit(args, fields, human)
-    return 0
 
 
-def cmd_construct_m2(args) -> int:
-    complex_, digest = _load(args.file)
+def cmd_construct_m2(args) -> tuple[int, list]:
+    complex_, fields = _load(args)
     result = build_nine_vertex_m2(complex_)
     write_complex_file(result, args.out)
-    betti = betti_numbers(result)
-    report = check_closed_surface(result)
-    if report.verdict:
-        surface_line = "closed-surface check: passes"
-    else:
-        surface_line = (
-            "closed-surface check: fails (expected: the complex is homotopy"
-            " equivalent to the surface, not homeomorphic)"
-        )
-    fields = [
-        ("command", "construct-m2"),
-        ("input", str(args.file)),
-        ("sha256", digest),
-        ("f_vector", _ints(result.f_vector)),
-        ("betti", _ints(betti)),
-        ("property_a", "true"),
-        ("closed_surface", _bool(report.verdict)),
-        ("output", str(args.out)),
+    return 0, fields + [
+        ("f_vector", result.f_vector),
+        ("betti", betti_numbers(result)),
+        ("property_a", True),
+        # false is expected: the result is homotopy equivalent to the
+        # surface, not homeomorphic to it
+        ("closed_surface", check_closed_surface(result).verdict),
+        ("output", args.out),
     ]
-    human = [
-        f"constructed complex: f-vector {result.f_vector}",
-        f"mod-2 Betti numbers: {betti}",
-        "property A: holds",
-        surface_line,
-        f"wrote complex to {args.out}",
-    ]
-    _emit(args, fields, human)
-    return 0
 
 
-def cmd_bounds(args) -> int:
-    if args.surface is not None:
-        surface = surface_from_name(args.surface)
-        chi = surface.chi
-        fields = [
-            ("command", "bounds"),
-            ("surface", surface.name),
-            ("chi", str(chi)),
-            ("rho", str(rho(chi))),
-            ("delta", str(delta(surface))),
-            ("covering_type", str(covering_type(surface))),
-        ]
-        human = [
-            f"surface: {surface.name} (chi {chi})",
-            f"rho = {rho(chi)}",
-            f"delta = {delta(surface)}",
-            f"covering type = {covering_type(surface)}",
-        ]
-    else:
-        chi = args.chi
-        fields = [
-            ("command", "bounds"),
-            ("chi", str(chi)),
-            ("rho", str(rho(chi))),
-        ]
-        human = [f"chi = {chi}", f"rho = {rho(chi)}"]
-    _emit(args, fields, human)
-    return 0
+def cmd_bounds(args) -> tuple[int, list]:
+    fields = [("command", args.subcommand)]
+    if args.surface is None:
+        return 0, fields + [("chi", args.chi), ("rho", rho(args.chi))]
+    surface = surface_from_name(args.surface)
+    return 0, fields + [("surface", surface.name)] + _surface_bounds(surface)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,7 +273,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else 2
     try:
-        return args.func(args)
+        code, fields = args.func(args)
+        if not args.quiet:
+            for key, value in fields:
+                label = key if args.machine else _LABELS.get(key)
+                if label is not None:
+                    print(f"{label}: {_text(value, args.machine)}")
+        return code
     except StageError as err:
         print(f"error[{err.stage}]: {err.cause}", file=sys.stderr)
         return 1

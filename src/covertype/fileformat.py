@@ -65,8 +65,10 @@ def parse_complex_text(text: str) -> ComplexFile:
     simplices: list[tuple[str, ...]] = []
     checked: set[str] = set()  # each distinct label is checked once
     faces = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw
+    # lines end at LF only: str.splitlines would also break at \f, \v,
+    # \x85, U+2028 and a lone CR, which the format reads as whitespace
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw[:-1] if raw.endswith("\r") else raw
         if "#" in line:
             comment = line[line.index("#") :]
             match = _SURFACE_RE.match(comment)

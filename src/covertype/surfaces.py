@@ -87,9 +87,14 @@ class SurfaceClass(Value):
         return f"N_{self.genus}"
 
 
+# Python refuses int <-> str conversions beyond a digit limit that can be
+# set as low as 640, and chi = 2 - 2g has one digit more than the genus
+MAX_GENUS_DIGITS = 600
+
+
 def surface_from_name(name: str) -> SurfaceClass:
     """Parse a surface name; accepts S2/S^2, T2/T^2, RP2/RP^2, M_g/Mg,
-    N_k/Nk (case-insensitive)."""
+    N_k/Nk (case-insensitive), with g and k in ASCII decimal digits."""
     text = name.strip().upper().replace("^", "").replace("_", "")
     if text in ("S2", "SPHERE", "M0"):
         return SurfaceClass(True, 0)
@@ -99,10 +104,13 @@ def surface_from_name(name: str) -> SurfaceClass:
         return SurfaceClass(False, 1)
     if text in ("KLEIN", "KLEINBOTTLE"):
         return SurfaceClass(False, 2)
-    if text.startswith("M") and text[1:].isdigit():
-        return SurfaceClass(True, int(text[1:]))
-    if text.startswith("N") and text[1:].isdigit():
-        return SurfaceClass(False, int(text[1:]))
+    digits = text[1:]
+    if text[:1] in ("M", "N") and digits.isascii() and digits.isdigit():
+        if len(digits) > MAX_GENUS_DIGITS:
+            raise DomainError(
+                f"genus with {len(digits)} digits; at most {MAX_GENUS_DIGITS} are allowed"
+            )
+        return SurfaceClass(text[0] == "M", int(digits))
     raise DomainError(f"unknown surface name {name!r}")
 
 

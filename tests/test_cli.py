@@ -23,6 +23,10 @@ def files(tmp_path):
         p = tmp_path / f"{name}.cplx"
         p.write_text(ct.bundled_text(name), encoding="utf-8")
         paths[name] = p
+    # two disjoint spheres: a surface check that fails on connectivity
+    text = ct.bundled_text("sphere_4")
+    paths["two_spheres"] = tmp_path / "two_spheres.cplx"
+    paths["two_spheres"].write_text(text + text.translate(str.maketrans("1234", "5678")))
     return paths
 
 
@@ -362,13 +366,77 @@ def test_sha256_is_of_the_parsed_bytes(tmp_path, capsys):
     assert machine(out)["sha256"] == hashlib.sha256(data).hexdigest()
 
 
-def test_quiet_suppresses_stdout(files, capsys):
-    code, out, _ = run(capsys, "--quiet", "surface", files["torus_7"])
-    assert code == 0
-    assert out == ""
-    code, out, _ = run(capsys, "--quiet", "property-a", files["torus_wedge_circle_9"])
-    assert code == 1
-    assert out == ""
+# one call of each command on the bundled data, success and failure
+# paths; "{out}" is the file a command writes
+COMMANDS = [
+    (("homology", "torus_7"), 0),
+    (("property-a", "genus2_10"), 0),
+    (("property-a", "torus_wedge_circle_9"), 1),
+    (("surface", "klein_bottle_8"), 0),
+    (("surface", "side_sphere_5"), 1),
+    (("surface", "torus_wedge_circle_9"), 1),
+    (("surface", "m2_homotopy_9"), 1),
+    (("surface", "two_spheres"), 1),
+    (("reduce", "side_sphere_5", "{out}", "--surface", "S2"), 0),
+    (("reduce", "projective_plane_6", "{out}"), 0),
+    (("construct-m2", "genus2_10", "{out}"), 0),
+    (("bounds", "--surface", "M2"), 0),
+    (("bounds", "--chi", "-4"), 0),
+]
+
+
+def command_argv(argv, files, tmp_path):
+    return [str(files.get(a, tmp_path / "out.cplx" if a == "{out}" else a)) for a in argv]
+
+
+def test_quiet_suppresses_stdout(files, tmp_path, capsys):
+    for argv, expected in COMMANDS:
+        (tmp_path / "out.cplx").unlink(missing_ok=True)
+        code, out, err = run(capsys, "--quiet", *command_argv(argv, files, tmp_path))
+        assert (code, out, err) == (expected, "", "")
+        assert (tmp_path / "out.cplx").exists() == ("{out}" in argv)
+
+
+def test_human_lines_are_the_labelled_machine_fields(files, tmp_path, capsys):
+    labels = {}
+    for argv, expected in COMMANDS:
+        argv = command_argv(argv, files, tmp_path)
+        code, out, _ = run(capsys, "--machine", *argv)
+        assert code == expected
+        fields = [line.split(": ", 1) for line in out.splitlines()]
+        assert len({key for key, _ in fields}) == len(fields)
+        header = ["command", "input", "sha256"][: 1 if argv[0] == "bounds" else 3]
+        assert [key for key, _ in fields[: len(header)]] == header
+        assert fields[0][1] == argv[0]
+
+        code, out, _ = run(capsys, *argv)
+        assert code == expected
+        lines = [line.split(": ", 1) for line in out.splitlines()]
+        assert len(lines) == len(fields) - len(header)
+        for (key, value), (label, shown) in zip(fields[len(header) :], lines):
+            # one label per key, the same in every command
+            assert labels.setdefault(key, label) == label
+            if value in ("true", "false"):
+                assert shown == {"true": "yes", "false": "no"}[value]
+            else:  # a string as it is, or a tuple of ints in brackets
+                assert shown in (value, f"({value.replace(' ', ', ')})")
+    assert len(set(labels.values())) == len(labels)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["M\u00b2", "N\u0663", "M" + "9" * 5000, "M" + "9" * 4300],
+    ids=["superscript", "arabic-indic", "beyond-int-limit", "chi-beyond-int-limit"],
+)
+@pytest.mark.parametrize(
+    "argv", [("bounds",), ("reduce", "torus_7", "{out}")], ids=["bounds", "reduce"]
+)
+def test_bad_surface_name_is_a_usage_error(name, argv, files, tmp_path, capsys):
+    code, out, err = run(capsys, *command_argv(argv, files, tmp_path), "--surface", name)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out.cplx").exists()
 
 
 def test_machine_output_is_deterministic(files, tmp_path, capsys):

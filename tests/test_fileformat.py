@@ -49,6 +49,28 @@ def test_crlf_and_tabs_tolerated():
     assert parsed.maximal_simplices == (("a", "b", "c"), ("b", "c", "d"))
 
 
+@pytest.mark.parametrize("sep", ["\f", "\v", "\x85", "\u2028", "\u2029", "\x1c", "\r"])
+def test_only_lf_ends_a_line(sep):
+    # str.splitlines breaks at each of these; the format reads them as
+    # whitespace within a line
+    assert parse_complex_text(f"a b{sep}c\n").maximal_simplices == (("a", "b", "c"),)
+    with pytest.raises(ParseError) as info:
+        parse_complex_text(f"a b{sep}\nc a a\n")
+    assert info.value.line == 2
+
+
+def test_line_numbers_count_lf_like_the_utf8_error(tmp_path):
+    path = tmp_path / "k.cplx"
+    path.write_bytes(b"a b\x0c\nc d\r\ne e\n")
+    with pytest.raises(ParseError) as info:
+        parse_complex_file(path)
+    assert info.value.line == 3
+    path.write_bytes(b"a b\x0c\nc d\r\ne \xff\n")
+    with pytest.raises(ParseError) as info:
+        parse_complex_file(path)
+    assert info.value.line == 3
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as info:
         parse_complex_text("a b c\nx x\n")
