@@ -37,7 +37,7 @@ def bundled_text(name: str) -> str:
     if name not in _FILES:
         raise NotFoundError(f"no bundled complex named {name!r}; have {bundled_names()}")
     # imported here: on Python 3.12 and later importlib.resources loads
-    # inspect, a cost of every process that imports the package
+    # inspect, a cost of every process that loads this module
     from importlib import resources
 
     return resources.files(__package__).joinpath("data", _FILES[name]).read_text("utf-8")

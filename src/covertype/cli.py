@@ -9,7 +9,8 @@ spaces and booleans as true/false; only this output is stable.  Without
 it every labelled field is a "label: value" line, tuples as (7, 21, 14)
 and booleans as yes/no; command, input and sha256 are machine-only.
 --quiet suppresses stdout entirely and leaves the answer to the exit
-code.
+code.  A file or out path that contains a line break (LF or CR) is a
+usage error, so that every field stays on one line.
 """
 
 from __future__ import annotations
@@ -17,26 +18,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cohomology import cochain_support, pairing_tensor, property_a_witness
-from .complexes import SimplicialComplex
+# the layers load on first use (see covertype/__init__.py), so each
+# command runs only the modules it calls into
+from . import cohomology, complexes, fileformat, homology, reduction, surfaces
 from .errors import (
     CoveringTypeError,
     DomainError,
     MalformedInputError,
     StageError,
-)
-from .fileformat import parse_complex_file, write_complex_file
-from .homology import betti_numbers
-from .reduction import reduce_to_certificate
-from .surfaces import (
-    SurfaceClass,
-    build_nine_vertex_m2,
-    check_closed_surface,
-    classify_surface,
-    covering_type,
-    delta,
-    rho,
-    surface_from_name,
 )
 
 __all__ = ["main"]
@@ -90,24 +79,24 @@ def _text(value, machine: bool) -> str:
     return str(value)
 
 
-def _load(args) -> tuple[SimplicialComplex, list]:
+def _load(args) -> tuple[complexes.SimplicialComplex, list]:
     """The input's complex, and the header fields that identify it."""
-    parsed = parse_complex_file(args.file)
+    parsed = fileformat.parse_complex_file(args.file)
     header = [("command", args.subcommand), ("input", args.file), ("sha256", parsed.sha256)]
     return parsed.complex(), header
 
 
-def _surface_bounds(surface: SurfaceClass) -> list:
+def _surface_bounds(surface: surfaces.SurfaceClass) -> list:
     return [
         ("chi", surface.chi),
-        ("rho", rho(surface.chi)),
-        ("delta", delta(surface)),
-        ("covering_type", covering_type(surface)),
+        ("rho", surfaces.rho(surface.chi)),
+        ("delta", surfaces.delta(surface)),
+        ("covering_type", surfaces.covering_type(surface)),
     ]
 
 
-def _infer_surface(complex_: SimplicialComplex) -> SurfaceClass:
-    betti = betti_numbers(complex_)
+def _infer_surface(complex_: complexes.SimplicialComplex) -> surfaces.SurfaceClass:
+    betti = homology.betti_numbers(complex_)
     padded = betti + (0,) * max(0, 3 - len(betti))
     b1, b2 = padded[1], padded[2]
     if padded[0] != 1 or b2 != 1 or any(b != 0 for b in padded[3:]):
@@ -115,9 +104,9 @@ def _infer_surface(complex_: SimplicialComplex) -> SurfaceClass:
             f"Betti numbers {betti} match no closed surface; pass --surface explicitly"
         )
     if b1 == 0:
-        return SurfaceClass(True, 0)
+        return surfaces.SurfaceClass(True, 0)
     if b1 % 2 == 1:
-        return SurfaceClass(False, b1)
+        return surfaces.SurfaceClass(False, b1)
     raise MalformedInputError(
         f"b1 = {b1} fits both an orientable and a non-orientable surface; pass --surface"
     )
@@ -128,24 +117,24 @@ def cmd_homology(args) -> tuple[int, list]:
     return 0, fields + [
         ("f_vector", complex_.f_vector),
         ("chi", complex_.euler_characteristic()),
-        ("betti", betti_numbers(complex_)),
+        ("betti", homology.betti_numbers(complex_)),
     ]
 
 
 def cmd_property_a(args) -> tuple[int, list]:
     complex_, fields = _load(args)
-    tensor = pairing_tensor(complex_)
-    witness = property_a_witness(complex_)
+    tensor = cohomology.pairing_tensor(complex_)
+    witness = cohomology.property_a_witness(complex_)
     fields += [("b1", tensor.b1), ("b2", tensor.b2), ("property_a", witness is None)]
     if witness is None:
         return 0, fields
-    edges = "; ".join(" ".join(e) for e in cochain_support(complex_, witness))
+    edges = "; ".join(" ".join(e) for e in cohomology.cochain_support(complex_, witness))
     return 1, fields + [("witness", edges)]
 
 
 def cmd_surface(args) -> tuple[int, list]:
     complex_, fields = _load(args)
-    report = check_closed_surface(complex_)
+    report = surfaces.check_closed_surface(complex_)
     fields += [
         ("pure_two_dimensional", report.pure_two_dimensional),
         ("every_edge_in_two_triangles", report.every_edge_in_two_triangles),
@@ -154,7 +143,7 @@ def cmd_surface(args) -> tuple[int, list]:
         ("verdict", report.verdict),
     ]
     if report.verdict:
-        surface = classify_surface(complex_)
+        surface = surfaces.classify_surface(complex_)
         fields += [
             ("class", surface.name),
             ("orientable", surface.orientable),
@@ -176,9 +165,9 @@ def cmd_surface(args) -> tuple[int, list]:
 
 def cmd_reduce(args) -> tuple[int, list]:
     complex_, fields = _load(args)
-    surface = surface_from_name(args.surface) if args.surface else _infer_surface(complex_)
-    final, trace, certificate = reduce_to_certificate(complex_, surface)
-    write_complex_file(final, args.out)
+    surface = surfaces.surface_from_name(args.surface) if args.surface else _infer_surface(complex_)
+    final, trace, certificate = reduction.reduce_to_certificate(complex_, surface)
+    fileformat.write_complex_file(final, args.out)
     counts = trace.move_counts()
     return 0, fields + [
         ("surface", surface.name),
@@ -201,15 +190,15 @@ def cmd_reduce(args) -> tuple[int, list]:
 
 def cmd_construct_m2(args) -> tuple[int, list]:
     complex_, fields = _load(args)
-    result = build_nine_vertex_m2(complex_)
-    write_complex_file(result, args.out)
+    result = surfaces.build_nine_vertex_m2(complex_)
+    fileformat.write_complex_file(result, args.out)
     return 0, fields + [
         ("f_vector", result.f_vector),
-        ("betti", betti_numbers(result)),
+        ("betti", homology.betti_numbers(result)),
         ("property_a", True),
         # false is expected: the result is homotopy equivalent to the
         # surface, not homeomorphic to it
-        ("closed_surface", check_closed_surface(result).verdict),
+        ("closed_surface", surfaces.check_closed_surface(result).verdict),
         ("output", args.out),
     ]
 
@@ -217,8 +206,8 @@ def cmd_construct_m2(args) -> tuple[int, list]:
 def cmd_bounds(args) -> tuple[int, list]:
     fields = [("command", args.subcommand)]
     if args.surface is None:
-        return 0, fields + [("chi", args.chi), ("rho", rho(args.chi))]
-    surface = surface_from_name(args.surface)
+        return 0, fields + [("chi", args.chi), ("rho", surfaces.rho(args.chi))]
+    surface = surfaces.surface_from_name(args.surface)
     return 0, fields + [("surface", surface.name)] + _surface_bounds(surface)
 
 
@@ -272,6 +261,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else 2
+    # a path is printed as the value of one key: value line
+    for name in ("file", "out"):
+        path = getattr(args, name, None)
+        if path is not None and ("\n" in path or "\r" in path):
+            print(f"error: the {name} path {path!r} contains a line break", file=sys.stderr)
+            return 2
     try:
         code, fields = args.func(args)
         if not args.quiet:

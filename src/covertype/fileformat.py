@@ -17,6 +17,16 @@ from __future__ import annotations
 
 import re
 
+# the interpreter's own SHA-256 (_sha2 from 3.12, _sha256 before): hashlib
+# loads OpenSSL, which costs more per CLI call than the hash of a file
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 from .complexes import SimplicialComplex, build_complex, check_label
 from .errors import MalformedInputError, ParseError
 from .value import Value
@@ -108,10 +118,6 @@ def parse_complex_text(text: str) -> ComplexFile:
 
 def parse_complex_file(path) -> ComplexFile:
     """Read the file once; hash and decode those same bytes."""
-    # imported here, the only place that hashes: loading hashlib (and
-    # OpenSSL with it) is a cost of every process that imports this module
-    import hashlib
-
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -121,7 +127,7 @@ def parse_complex_file(path) -> ComplexFile:
         raise ParseError(f"not valid UTF-8 at byte {err.start}", line=line) from err
     parsed = parse_complex_text(text)
     return ComplexFile(
-        parsed.maximal_simplices, parsed.surface_name, hashlib.sha256(data).hexdigest()
+        parsed.maximal_simplices, parsed.surface_name, sha256(data).hexdigest()
     )
 
 

@@ -25,6 +25,9 @@ from __future__ import annotations
 
 import math
 
+# only pinch_and_fill and build_nine_vertex_m2 use these two, and a layer
+# module loads on first use: the check and the bounds never load them
+from . import cohomology, homology
 from .complexes import (
     Simplex,
     SimplicialComplex,
@@ -33,13 +36,11 @@ from .complexes import (
     make_simplex,
     per_complex,
 )
-from .cohomology import has_property_A
 from .errors import (
     DomainError,
     InconsistencyError,
     PreconditionError,
 )
-from .homology import betti_numbers
 from .value import Value
 
 __all__ = [
@@ -329,7 +330,7 @@ def pinch_and_fill(
             )
     if make_simplex((w, w2)) not in complex_:
         raise PreconditionError(f"fill vertices {w!r} and {w2!r} must span an edge")
-    before = betti_numbers(complex_)
+    before = homology.betti_numbers(complex_)
     merged, record = identify_vertices(complex_, v, v2)
     kept = record.simplices[0][0]
     triangle = make_simplex((kept, w, w2))
@@ -337,7 +338,7 @@ def pinch_and_fill(
         list(merged.all_simplices())
         + [triangle, (triangle[0], triangle[1]), (triangle[0], triangle[2]), (triangle[1], triangle[2])]
     )
-    after = betti_numbers(filled)
+    after = homology.betti_numbers(filled)
     if before != after:
         raise InconsistencyError(
             f"pinch-and-fill changed the Betti numbers {before} -> {after}"
@@ -404,8 +405,8 @@ def build_nine_vertex_m2(triangulation: SimplicialComplex) -> SimplicialComplex:
     result = pinch_and_fill(triangulation, v, v2, fill[0], fill[1])
     if len(result.vertices) != 9:
         raise InconsistencyError("construction did not land on 9 vertices")
-    if betti_numbers(result) != (1, 4, 1):
+    if homology.betti_numbers(result) != (1, 4, 1):
         raise InconsistencyError("construction lost the genus-2 homology")
-    if not has_property_A(result):
+    if not cohomology.has_property_A(result):
         raise InconsistencyError("construction lost the cup-product regularity")
     return result

@@ -329,6 +329,39 @@ def test_non_utf8_file_is_a_parse_error(argv, tmp_path, capsys):
     assert not (tmp_path / "out.cplx").exists()
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r"], ids=["lf", "cr"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("homology", "{bad}"),
+        ("property-a", "{bad}"),
+        ("surface", "{bad}"),
+        ("reduce", "{bad}", "{out}", "--surface", "M2"),
+        ("construct-m2", "{bad}", "{out}"),
+        ("reduce", "{good}", "{bad}", "--surface", "M2"),
+        ("construct-m2", "{good}", "{bad}"),
+    ],
+    ids=lambda argv: f"{argv[0]}-{'file' if argv[1] == '{bad}' else 'out'}",
+)
+def test_path_with_a_line_break_is_a_usage_error(argv, brk, files, tmp_path, capsys):
+    # as a file, the path names a readable copy of the input: only the
+    # line break in its name is wrong; as an out path, it is never written
+    good = files["genus2_10"]
+    bad = tmp_path / f"genus2{brk}10.cplx"
+    out = tmp_path / "out.cplx"
+    if argv[1] == "{bad}":
+        bad.write_bytes(good.read_bytes())
+    paths = {"{bad}": bad, "{good}": good, "{out}": out}
+    for flags in (("--machine",), ("--quiet",)):
+        code, stdout, err = run(capsys, *flags, *(paths.get(a, a) for a in argv))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+        assert bad.exists() == (argv[1] == "{bad}")
+
+
 def test_oversized_simplex_line_is_a_parse_error(tmp_path, capsys):
     # 40 labels would put 2^40 - 1 faces into the complex
     big = tmp_path / "big.cplx"

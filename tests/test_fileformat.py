@@ -4,10 +4,13 @@ header, error positions, and write/read round trips."""
 from __future__ import annotations
 
 import hashlib
+import random
+from pathlib import Path
 
 import pytest
 
 import covertype as ct
+from covertype import fileformat
 from covertype.fileformat import (
     MAX_CLOSURE_FACES,
     MAX_SIMPLEX_VERTICES,
@@ -159,6 +162,20 @@ def test_file_carries_the_hash_of_its_bytes(tmp_path):
     assert parsed.sha256 == hashlib.sha256(data).hexdigest()
     assert parsed.maximal_simplices == (("a", "b", "c"), ("b", "c", "d"))
     assert parse_complex_text(data.decode("utf-8")).sha256 is None
+
+
+@pytest.mark.parametrize("name", ct.bundled_names())
+def test_bundled_file_hash_matches_hashlib(name):
+    path = Path(ct.bundled.__file__).parent / "data" / f"{name}.cplx"
+    assert parse_complex_file(path).sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_builtin_sha256_matches_hashlib():
+    rng = random.Random(20)
+    # around the 55/56- and 64-byte block boundaries of the padding, then larger
+    for size in [*range(130), 1000, 4095, 4096, 65537, 1 << 20]:
+        data = rng.randbytes(size)
+        assert fileformat.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest(), size
 
 
 def test_non_utf8_bytes_are_a_parse_error(tmp_path):
