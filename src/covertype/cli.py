@@ -9,14 +9,26 @@ spaces and booleans as true/false; only this output is stable.  Without
 it every labelled field is a "label: value" line, tuples as (7, 21, 14)
 and booleans as yes/no; command, input and sha256 are machine-only.
 --quiet suppresses stdout entirely and leaves the answer to the exit
-code.  A file or out path that contains a line break (LF or CR) is a
-usage error, so that every field stays on one line.
+code.
+
+The command line is read against one table, `_COMMANDS`, which also
+gives the --help text: `covertype [--machine] [--quiet] COMMAND ...`,
+with the command's options anywhere after it, as `--surface S` or
+`--surface=S`, and `--` ending the options.  Option names are never
+abbreviated, and an option given twice is a usage error.  `--chi` takes
+an optional sign and ASCII digits, at most `surfaces.MAX_GENUS_DIGITS`
+of them.  A usage error, such as an unknown command or option or a
+missing or extra argument, prints one `error:` line on stderr and exits
+2 before any file is read or written.  So does a file or out path that
+contains a line break (LF or CR), so that every field stays on one line.
+`-h` or `--help`, before or after the command, prints the usage text and
+exits 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+import types
 
 # the layers load on first use (see covertype/__init__.py), so each
 # command runs only the modules it calls into
@@ -211,63 +223,145 @@ def cmd_bounds(args) -> tuple[int, list]:
     return 0, fields + [("surface", surface.name)] + _surface_bounds(surface)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="covertype",
-        description="Covering-type bounds for closed surfaces via mod-2 simplicial (co)homology.",
-    )
-    parser.add_argument("--machine", action="store_true", help="stable key: value output")
-    parser.add_argument("--quiet", action="store_true", help="no stdout; answer via exit code")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+class _UsageError(Exception):
+    """A command line that does not fit the command table."""
 
-    p = sub.add_parser("homology", help="f-vector, Euler characteristic, mod-2 Betti numbers")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_homology)
 
-    p = sub.add_parser("property-a", help="cup-product regularity; exit 1 with a witness if it fails")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_property_a)
+def _shown(word: str) -> str:
+    """A word of the command line, quoted, and cut short when long."""
+    return repr(word) if len(word) <= 40 else f"{word[:20]!r}... ({len(word)} characters)"
 
-    p = sub.add_parser("surface", help="closed-surface check and classification")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_surface)
 
-    p = sub.add_parser("reduce", help="run the reduction pipeline and write the reduced complex")
-    p.add_argument("file")
-    p.add_argument("out")
-    p.add_argument("--surface", help="declared surface class (inferred from homology when omitted)")
-    p.set_defaults(func=cmd_reduce)
+def _chi(text: str) -> int:
+    """An optional sign and ASCII digits, as many as a genus may have."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    limit = surfaces.MAX_GENUS_DIGITS
+    if not (digits.isascii() and digits.isdigit() and len(digits) <= limit):
+        raise _UsageError(f"--chi takes at most {limit} ASCII digits, not {_shown(text)}")
+    return int(text)
 
-    p = sub.add_parser(
-        "construct-m2",
-        help="build the 9-vertex genus-2-homotopy complex from a 10-vertex triangulation",
-    )
-    p.add_argument("file")
-    p.add_argument("out")
-    p.set_defaults(func=cmd_construct_m2)
 
-    p = sub.add_parser("bounds", help="rho for a chi, or rho/delta/covering type for a surface")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--chi", type=int)
-    group.add_argument("--surface")
-    p.set_defaults(func=cmd_bounds)
+# the options before the command, and their help
+_FLAGS = {"--machine": "stable key: value output", "--quiet": "no stdout; answer via exit code"}
 
-    return parser
+# Each command: its handler, its positional arguments (all paths), its
+# options with the name of each one's value and the function that reads
+# it, whether exactly one option must be given, and its help.
+_COMMANDS = {
+    "homology": (
+        cmd_homology, ("file",), {}, False,
+        "f-vector, Euler characteristic, mod-2 Betti numbers",
+    ),
+    "property-a": (
+        cmd_property_a, ("file",), {}, False,
+        "cup-product regularity; exit 1 with a witness if it fails",
+    ),
+    "surface": (
+        cmd_surface, ("file",), {}, False,
+        "closed-surface check and classification",
+    ),
+    "reduce": (
+        cmd_reduce, ("file", "out"), {"--surface": ("NAME", str)}, False,
+        "run the reduction pipeline and write the reduced complex",
+    ),
+    "construct-m2": (
+        cmd_construct_m2, ("file", "out"), {}, False,
+        "build the 9-vertex genus-2-homotopy complex from a 10-vertex triangulation",
+    ),
+    "bounds": (
+        cmd_bounds, (), {"--chi": ("N", _chi), "--surface": ("NAME", str)}, True,
+        "rho for a chi, or rho/delta/covering type for a surface",
+    ),
+}
+
+
+def _arguments(command: str) -> str:
+    """What the command takes, as the usage text shows it."""
+    _, names, options, one_of, _ = _COMMANDS[command]
+    values = [f"{key} {value}" for key, (value, _) in options.items()]
+    values = [" | ".join(values)] if one_of else [f"[{v}]" for v in values]
+    return " ".join([n.upper() for n in names] + values)
+
+
+def _is_option(word: str) -> bool:
+    # "-" names a file, and "-2" is a number
+    return len(word) > 1 and word[0] == "-" and not word[1].isdigit()
+
+
+def _parse(argv: list[str]) -> types.SimpleNamespace | None:
+    """The arguments of a command line as attributes, or None when it
+    asks for help.  Raises _UsageError when it does not fit _COMMANDS."""
+    args = types.SimpleNamespace(machine=False, quiet=False, subcommand=None)
+    options, positional, given, only_positional = _FLAGS, [], set(), False
+    words = iter(argv)
+    for word in words:
+        if only_positional or not _is_option(word):
+            if args.subcommand is not None:
+                positional.append(word)
+                continue
+            if word not in _COMMANDS:
+                commands = ", ".join(_COMMANDS)
+                raise _UsageError(f"unknown command {_shown(word)}; the commands are {commands}")
+            args.subcommand = word
+            args.func, names, options, one_of, _ = _COMMANDS[word]
+            for key in options:
+                setattr(args, key[2:], None)
+        elif word in ("-h", "--help"):
+            return None
+        elif word == "--":
+            only_positional = True
+        else:
+            key, has_value, value = word.partition("=")
+            flag = options is _FLAGS
+            if key not in options or flag and has_value:
+                where = "before the command" if flag else f"for {args.subcommand}"
+                raise _UsageError(f"unknown option {_shown(word)} {where}")
+            if key in given:
+                raise _UsageError(f"option {key} is given twice")
+            given.add(key)
+            if not (flag or has_value):
+                value = next(words, None)
+                if value is None or _is_option(value):
+                    raise _UsageError(f"option {key} needs a value")
+            setattr(args, key[2:], True if flag else options[key][1](value))
+    if args.subcommand is None:
+        raise _UsageError("no command given (see --help)")
+    if len(positional) != len(names) or one_of and len(given & options.keys()) != 1:
+        raise _UsageError(f"{args.subcommand} takes {_arguments(args.subcommand)}")
+    # a path is printed as the value of one key: value line
+    for name, path in zip(names, positional):
+        if "\n" in path or "\r" in path:
+            raise _UsageError(f"the {name} path {path!r} contains a line break")
+        setattr(args, name, path)
+    return args
+
+
+def _help() -> str:
+    lines = [
+        "usage: covertype [--machine] [--quiet] COMMAND ...",
+        "",
+        "Covering-type bounds for closed surfaces via mod-2 simplicial (co)homology.",
+        "",
+        "commands:",
+    ]
+    for command, entry in _COMMANDS.items():
+        lines += [f"  {command} {_arguments(command)}", f"      {entry[-1]}"]
+    lines += ["", "options:"]
+    for flag, text in [*_FLAGS.items(), ("-h, --help", "print this text and exit")]:
+        lines.append(f"  {flag:<10}  {text}")
+    return "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as err:
-        return err.code if isinstance(err.code, int) else 2
-    # a path is printed as the value of one key: value line
-    for name in ("file", "out"):
-        path = getattr(args, name, None)
-        if path is not None and ("\n" in path or "\r" in path):
-            print(f"error: the {name} path {path!r} contains a line break", file=sys.stderr)
-            return 2
+        args = _parse(sys.argv[1:] if argv is None else argv)
+    except _UsageError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     try:
+        if args is None:
+            print(_help())
+            return 0
         code, fields = args.func(args)
         if not args.quiet:
             for key, value in fields:

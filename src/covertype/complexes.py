@@ -198,12 +198,6 @@ class SimplicialComplex(Value):
             sorted((s, cof[0]) for s, cof in self._facet_cofaces.items() if len(cof) == 1)
         )
 
-    def edge_triangle_count(self, edge: Iterable[str]) -> int:
-        e = make_simplex(edge)
-        if len(e) != 2 or e not in self:
-            raise NotFoundError(f"{e} is not an edge of the complex")
-        return len(self._facet_cofaces[e])
-
     @cached_property
     def _adjacency(self) -> dict[str, tuple[str, ...]]:
         """Neighbours of each vertex, ascending: the other ends of its
@@ -271,30 +265,6 @@ class SimplicialComplex(Value):
             comps.append(tuple(sorted(comp)))
         comps.sort()
         return tuple(comps)
-
-    def validate(self) -> None:
-        """Re-check the structural invariants from scratch; raises
-        InconsistencyError on any violation.  Intended for tests."""
-        seen: set[Simplex] = set()
-        for n, group in enumerate(self.by_dim):
-            if list(group) != sorted(set(group)):
-                raise InconsistencyError(f"dimension {n} group is not strictly sorted")
-            for s in group:
-                if len(s) != n + 1:
-                    raise InconsistencyError(f"{s} filed under wrong dimension {n}")
-                if make_simplex(s) != s:
-                    raise InconsistencyError(f"{s} is not in canonical form")
-                seen.add(s)
-        for s in seen:
-            for k in range(1, len(s)):
-                for f in itertools.combinations(s, k):
-                    if f not in seen:
-                        raise InconsistencyError(f"face {f} of {s} missing: not downward closed")
-        f = self.f_vector
-        if len(f) >= 2 and 2 * f[1] > f[0] * (f[0] - 1):
-            raise InconsistencyError("more edges than a simple graph allows")
-        if any(a == 0 for a in f):
-            raise InconsistencyError("empty dimension group inside the complex")
 
 
 TYPE_CHECKING = False

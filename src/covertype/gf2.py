@@ -57,16 +57,6 @@ class Gf2Vector(Value):
             raise PreconditionError("bit pattern wider than declared length")
 
     @classmethod
-    def from_coords(cls, coords: Iterable[int]) -> "Gf2Vector":
-        bits = 0
-        n = 0
-        for c in coords:
-            if c & 1:
-                bits |= 1 << n
-            n += 1
-        return cls(n, bits)
-
-    @classmethod
     def from_support(cls, length: int, support: Iterable[int]) -> "Gf2Vector":
         bits = 0
         for i in support:
@@ -97,11 +87,6 @@ class Gf2Vector(Value):
 
     def weight(self) -> int:
         return self.bits.bit_count()
-
-    def dot(self, other: "Gf2Vector") -> int:
-        if self.length != other.length:
-            raise PreconditionError("vector lengths differ")
-        return (self.bits & other.bits).bit_count() & 1
 
     def support(self) -> tuple[int, ...]:
         return tuple(_bit_indices(self.bits))
@@ -139,23 +124,6 @@ class Gf2Matrix(Value):
         return cls(n, n, tuple(1 << i for i in range(n)))
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "Gf2Matrix":
-        packed = []
-        width = cols
-        for row in rows:
-            entries = list(row)
-            if width is None:
-                width = len(entries)
-            if len(entries) != width:
-                raise PreconditionError("ragged rows")
-            bits = 0
-            for j, e in enumerate(entries):
-                if e & 1:
-                    bits |= 1 << j
-            packed.append(bits)
-        return cls(len(packed), 0 if width is None else width, tuple(packed))
-
-    @classmethod
     def from_row_vectors(cls, vectors: Sequence[Gf2Vector], length: int | None = None) -> "Gf2Matrix":
         if vectors:
             width = vectors[0].length
@@ -167,10 +135,6 @@ class Gf2Matrix(Value):
         else:
             width = 0 if length is None else length
         return cls(len(vectors), width, tuple(v.bits for v in vectors))
-
-    @classmethod
-    def from_columns(cls, vectors: Sequence[Gf2Vector], length: int | None = None) -> "Gf2Matrix":
-        return cls.from_row_vectors(vectors, length).transpose()
 
     def entry(self, i: int, j: int) -> int:
         if not (0 <= i < self.rows and 0 <= j < self.cols):

@@ -7,6 +7,9 @@ from __future__ import annotations
 
 import itertools
 
+from covertype.complexes import make_simplex
+from covertype.errors import InconsistencyError, NotFoundError, PreconditionError
+from covertype.gf2 import Gf2Matrix, Gf2Vector
 from covertype.surfaces import SurfaceCheckReport
 
 
@@ -221,7 +224,7 @@ def closed_surface_reference(complex_):
     pure = complex_.dim == 2 and not bad_max
     bad_edges = []
     for e in complex_.simplices(1):
-        c = complex_.edge_triangle_count(e)
+        c = edge_triangle_count(complex_, e)
         if c != 2:
             bad_edges.append((e, c))
     two_tris = complex_.dim >= 1 and not bad_edges and bool(complex_.simplices(1))
@@ -251,3 +254,65 @@ def _link_is_circle_reference(link):
         return False
     start = link.vertices[0]
     return all(link.path_exists(start, v) for v in link.vertices)
+
+
+# Constructors and checks that only tests use; the package builds its
+# vectors and matrices from bit patterns and keeps its complexes valid
+# by construction.
+
+
+def vector_from_coords(coords):
+    """The Gf2Vector with the parities of the coordinates, in order."""
+    coords = list(coords)
+    return Gf2Vector(len(coords), sum((c & 1) << i for i, c in enumerate(coords)))
+
+
+def vector_dot(a, b):
+    """The GF(2) inner product of two vectors of one length."""
+    if a.length != b.length:
+        raise PreconditionError("vector lengths differ")
+    return (a.bits & b.bits).bit_count() & 1
+
+
+def matrix_from_rows(rows):
+    """The Gf2Matrix with the parities of the entries of the rows."""
+    return Gf2Matrix.from_row_vectors([vector_from_coords(r) for r in rows])
+
+
+def matrix_from_columns(vectors):
+    """The Gf2Matrix whose columns are the vectors."""
+    return Gf2Matrix.from_row_vectors(vectors).transpose()
+
+
+def edge_triangle_count(complex_, edge):
+    """The number of triangles that contain the edge, by a scan of all
+    triangles."""
+    e = make_simplex(edge)
+    if len(e) != 2 or e not in complex_:
+        raise NotFoundError(f"{e} is not an edge of the complex")
+    return sum(1 for t in complex_.simplices(2) if set(e) <= set(t))
+
+
+def validate_complex(complex_):
+    """Re-check a complex's structural invariants from scratch; raises
+    InconsistencyError on any violation."""
+    seen = set()
+    for n, group in enumerate(complex_.by_dim):
+        if list(group) != sorted(set(group)):
+            raise InconsistencyError(f"dimension {n} group is not strictly sorted")
+        for s in group:
+            if len(s) != n + 1:
+                raise InconsistencyError(f"{s} filed under wrong dimension {n}")
+            if make_simplex(s) != s:
+                raise InconsistencyError(f"{s} is not in canonical form")
+            seen.add(s)
+    for s in seen:
+        for k in range(1, len(s)):
+            for f in itertools.combinations(s, k):
+                if f not in seen:
+                    raise InconsistencyError(f"face {f} of {s} missing: not downward closed")
+    f = complex_.f_vector
+    if len(f) >= 2 and 2 * f[1] > f[0] * (f[0] - 1):
+        raise InconsistencyError("more edges than a simple graph allows")
+    if any(a == 0 for a in f):
+        raise InconsistencyError("empty dimension group inside the complex")

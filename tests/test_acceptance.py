@@ -32,7 +32,7 @@ from helpers import (
     randomized_thickening,
     replay_from_scratch,
 )
-from oracles import betti_oracle, rho_scan
+from oracles import betti_oracle, rho_scan, vector_dot
 
 
 RESULTS: list[str] = []
@@ -305,10 +305,10 @@ def test_criterion_6_pairing_is_class_level():
         same = True
         for beta in basis:
             for z in cycles:
-                left = cup_1_1(k, alpha, beta).values.dot(z)
-                right = cup_1_1(k, perturbed, beta).values.dot(z)
-                mirrored_left = cup_1_1(k, beta, alpha).values.dot(z)
-                mirrored_right = cup_1_1(k, beta, perturbed).values.dot(z)
+                left = vector_dot(cup_1_1(k, alpha, beta).values, z)
+                right = vector_dot(cup_1_1(k, perturbed, beta).values, z)
+                mirrored_left = vector_dot(cup_1_1(k, beta, alpha).values, z)
+                mirrored_right = vector_dot(cup_1_1(k, beta, perturbed).values, z)
                 if left != right or mirrored_left != mirrored_right:
                     same = False
         agreed += same

@@ -11,7 +11,7 @@ import time
 import pytest
 
 import covertype as ct
-from covertype.cli import main
+from covertype.cli import _COMMANDS, main
 from covertype.fileformat import MAX_CLOSURE_FACES
 
 
@@ -293,6 +293,81 @@ def test_bounds_usage_errors(capsys):
     assert "error" in err
     code, _, _ = run(capsys, "bounds", "--surface", "X9")
     assert code == 2
+
+
+# one command line for each kind of usage error; "{out}" is never written
+USAGE_ERRORS = {
+    "no-command": (),
+    "flags-only": ("--machine",),
+    "unknown-command": ("frobnicate",),
+    "missing-file": ("homology",),
+    "missing-out": ("reduce", "torus_7"),
+    "extra-argument": ("surface", "torus_7", "torus_7"),
+    "unknown-option": ("homology", "torus_7", "--surface", "T2"),
+    "flag-after-command": ("bounds", "--chi", "0", "--machine"),
+    "abbreviated-flag": ("--mach", "bounds", "--chi", "0"),
+    "abbreviated-option": ("reduce", "torus_7", "{out}", "--sur", "T2"),
+    "no-value": ("reduce", "torus_7", "{out}", "--surface"),
+    "option-as-value": ("bounds", "--surface", "--chi", "0"),
+    "flag-with-value": ("--quiet=yes", "bounds", "--chi", "0"),
+    "repeated-option": ("bounds", "--chi", "0", "--chi", "2"),
+    "repeated-option-with-equals": ("reduce", "torus_7", "{out}", "--surface", "T2", "--surface=T2"),
+    "both-bounds-options": ("bounds", "--chi", "0", "--surface", "T2"),
+    "no-bounds-option": ("bounds",),
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_error_is_one_line(argv, files, tmp_path, capsys):
+    code, out, err = run(capsys, *command_argv(argv, files, tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out.cplx").exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [("--help",), ("-h",), ("homology", "-h"), ("--machine", "bounds", "--chi", "0", "--help")]
+)
+def test_help_names_every_command(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: covertype")
+    heads = {line.split()[0] for line in out.splitlines() if line.startswith("  ")}
+    assert set(_COMMANDS) <= heads
+
+
+@pytest.mark.parametrize(
+    "chi",
+    ["-\u0663", "-1_0", " -2", "-2 ", "", "+", "-" + "9" * 601, "9" * 5000, "x" * 5000],
+    ids=[
+        "arabic-indic",
+        "underscore",
+        "leading-space",
+        "trailing-space",
+        "empty",
+        "sign-only",
+        "too-many-digits",
+        "beyond-int-limit",
+        "long-word",
+    ],
+)
+def test_chi_takes_only_ascii_digits(chi, capsys):
+    code, out, err = run(capsys, "--machine", "bounds", "--chi", chi)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+    assert len(err) < 200  # an over-long value is not repeated
+
+
+def test_chi_sign_and_digit_limit(capsys):
+    for argv, rho in ((("--chi", "+2"), "4"), (("--chi", "-0"), "7"), (("--chi=-4",), "10")):
+        code, out, _ = run(capsys, "--machine", "bounds", *argv)
+        assert code == 0
+        assert machine(out)["rho"] == rho
+    code, out, _ = run(capsys, "--machine", "bounds", "--chi", "-" + "9" * 600)
+    assert code == 0
+    assert int(machine(out)["chi"]) == -int("9" * 600)
 
 
 def test_missing_and_malformed_files(tmp_path, capsys):

@@ -23,6 +23,7 @@ from covertype.homology import chain_data, chain_vector, homology_basis
 from covertype.errors import PreconditionError
 
 from helpers import barycentric_subdivision
+from oracles import vector_dot, vector_from_coords
 
 
 def random_cochain(rng, complex_, degree):
@@ -40,7 +41,7 @@ def test_coboundary_is_dual_to_boundary(torus):
 
 def test_coboundary_evaluation():
     k = ct.build_complex([("a", "b", "c")])
-    f = Cochain(0, gf2.Gf2Vector.from_coords([1, 0, 0]))  # indicator of a
+    f = Cochain(0, vector_from_coords([1, 0, 0]))  # indicator of a
     df = coboundary_matrix(k, 0) @ f.values
     # (delta f)(uv) = f(u) + f(v): exactly the edges touching a
     assert cochain_support(k, Cochain(1, df)) == (("a", "b"), ("a", "c"))
@@ -179,7 +180,7 @@ def test_pairing_tensor_is_the_cup_products_on_the_cycles(name, complex_):
                 for t, (v0, v1, v2) in enumerate(complex_.simplices(2))
                 if a.values[edge[(v0, v1)]] and b.values[edge[(v1, v2)]]
             )
-            row.append(tuple(product.values.dot(z) for z in cycles))
+            row.append(tuple(vector_dot(product.values, z) for z in cycles))
         expected.append(tuple(row))
     assert pairing_tensor(complex_).entries == tuple(expected)
 
@@ -241,8 +242,8 @@ def test_witness_class_on_wedge(torus_wedge_circle):
     assert not span.contains(witness.values)
     for beta in h1_cocycle_basis(k):
         for z in cycles:
-            assert cup_1_1(k, witness, beta).values.dot(z) == 0
-            assert cup_1_1(k, beta, witness).values.dot(z) == 0
+            assert vector_dot(cup_1_1(k, witness, beta).values, z) == 0
+            assert vector_dot(cup_1_1(k, beta, witness).values, z) == 0
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -260,12 +261,12 @@ def test_pairing_ignores_coboundary_perturbations(seed, torus, klein_bottle):
         perturbed = Cochain(1, alpha.values + delta0 @ f)
         for beta in basis:
             for z in cycles:
-                assert cup_1_1(k, alpha, beta).values.dot(z) == cup_1_1(
-                    k, perturbed, beta
-                ).values.dot(z)
-                assert cup_1_1(k, beta, alpha).values.dot(z) == cup_1_1(
-                    k, beta, perturbed
-                ).values.dot(z)
+                assert vector_dot(cup_1_1(k, alpha, beta).values, z) == vector_dot(
+                    cup_1_1(k, perturbed, beta).values, z
+                )
+                assert vector_dot(cup_1_1(k, beta, alpha).values, z) == vector_dot(
+                    cup_1_1(k, beta, perturbed).values, z
+                )
 
 
 def test_property_a_insensitive_to_vertex_relabeling(torus):

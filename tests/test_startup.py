@@ -44,8 +44,10 @@ print(json.dumps(seen))
 COMPILER_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 # annotations are never evaluated and their names come from collections.abc;
-# hashlib loads OpenSSL, and files are hashed with the interpreter's own SHA-256
-UNUSED_AT_RUN_TIME = COMPILER_MODULES + ("typing", "hashlib")
+# hashlib loads OpenSSL, and files are hashed with the interpreter's own
+# SHA-256; the command line is read against cli._COMMANDS, and argparse
+# would load gettext and locale for its messages
+UNUSED_AT_RUN_TIME = COMPILER_MODULES + ("typing", "hashlib", "argparse", "gettext", "locale")
 
 # The benchmark's tracer wraps functions only in the covertype modules in
 # sys.modules after `from covertype import cli`, so every layer must be

@@ -23,7 +23,7 @@ from covertype.surfaces import (
 from covertype.errors import DomainError, InconsistencyError, PreconditionError
 
 from helpers import SURFACE_FILES, subdivide_triangle
-from oracles import betti_oracle, rho_scan
+from oracles import betti_oracle, rho_scan, validate_complex
 
 
 def test_surface_class_names_and_chi():
@@ -203,7 +203,7 @@ def test_pinch_and_fill_on_genus2(genus2):
         assert len(result.vertices) == 9
         assert ct.betti_numbers(result) == (1, 4, 1)
         assert ct.has_property_A(result)
-        result.validate()
+        validate_complex(result)
 
 
 def test_pinch_and_fill_two_filled_triangles():
@@ -213,7 +213,7 @@ def test_pinch_and_fill_two_filled_triangles():
     assert out.f_vector == (5, 7, 3)
     assert ct.betti_numbers(out) == (1, 0, 0)
     assert betti_oracle(out) == (1, 0, 0)
-    out.validate()
+    validate_complex(out)
 
 
 def test_pinch_and_fill_preconditions(genus2):
@@ -244,7 +244,7 @@ def test_build_nine_vertex_m2(genus2):
     # one below the minimum for a genuine triangulation
     assert len(result.vertices) == covering_type(SurfaceClass(True, 2))
     assert len(result.vertices) == delta(SurfaceClass(True, 2)) - 1
-    result.validate()
+    validate_complex(result)
 
 
 def test_build_nine_vertex_m2_matches_bundled(genus2, m2_homotopy):
