@@ -27,6 +27,7 @@ exits 0.
 
 from __future__ import annotations
 
+import os
 import sys
 import types
 
@@ -38,6 +39,7 @@ from .errors import (
     DomainError,
     MalformedInputError,
     StageError,
+    shown,
 )
 
 __all__ = ["main"]
@@ -227,17 +229,12 @@ class _UsageError(Exception):
     """A command line that does not fit the command table."""
 
 
-def _shown(word: str) -> str:
-    """A word of the command line, quoted, and cut short when long."""
-    return repr(word) if len(word) <= 40 else f"{word[:20]!r}... ({len(word)} characters)"
-
-
 def _chi(text: str) -> int:
     """An optional sign and ASCII digits, as many as a genus may have."""
     digits = text[1:] if text[:1] in ("+", "-") else text
     limit = surfaces.MAX_GENUS_DIGITS
     if not (digits.isascii() and digits.isdigit() and len(digits) <= limit):
-        raise _UsageError(f"--chi takes at most {limit} ASCII digits, not {_shown(text)}")
+        raise _UsageError(f"--chi takes at most {limit} ASCII digits, not {shown(text)}")
     return int(text)
 
 
@@ -301,7 +298,7 @@ def _parse(argv: list[str]) -> types.SimpleNamespace | None:
                 continue
             if word not in _COMMANDS:
                 commands = ", ".join(_COMMANDS)
-                raise _UsageError(f"unknown command {_shown(word)}; the commands are {commands}")
+                raise _UsageError(f"unknown command {shown(word)}; the commands are {commands}")
             args.subcommand = word
             args.func, names, options, one_of, _ = _COMMANDS[word]
             for key in options:
@@ -315,7 +312,7 @@ def _parse(argv: list[str]) -> types.SimpleNamespace | None:
             flag = options is _FLAGS
             if key not in options or flag and has_value:
                 where = "before the command" if flag else f"for {args.subcommand}"
-                raise _UsageError(f"unknown option {_shown(word)} {where}")
+                raise _UsageError(f"unknown option {shown(word)} {where}")
             if key in given:
                 raise _UsageError(f"option {key} is given twice")
             given.add(key)
@@ -352,6 +349,21 @@ def _help() -> str:
     return "\n".join(lines)
 
 
+def _write(lines: list[str], code: int) -> int:
+    """Print the lines and return the exit code.  A reader that has gone
+    is not an error: the exit code still answers, as under --quiet, and
+    stdout then points at os.devnull, so the flush at exit cannot fail."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
@@ -360,15 +372,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         if args is None:
-            print(_help())
-            return 0
+            return _write([_help()], 0)
         code, fields = args.func(args)
-        if not args.quiet:
-            for key, value in fields:
-                label = key if args.machine else _LABELS.get(key)
-                if label is not None:
-                    print(f"{label}: {_text(value, args.machine)}")
-        return code
+        labelled = [(key if args.machine else _LABELS.get(key), value) for key, value in fields]
+        lines = [f"{label}: {_text(value, args.machine)}" for label, value in labelled if label]
+        return code if args.quiet else _write(lines, code)
     except StageError as err:
         print(f"error[{err.stage}]: {err.cause}", file=sys.stderr)
         return 1

@@ -3,14 +3,16 @@
 A simplex is a tuple of vertex labels in ascending lexicographic order;
 a complex stores its simplices grouped by dimension with every group
 sorted, which fixes a canonical order for each iteration, tie-break and
-search in the package.  Complexes are immutable; the structural moves
-(excision, elementary collapse, edge contraction, vertex identification)
-are module-level functions that return a fresh complex together with a
-MoveRecord, so a reduction pipeline can be audited and replayed.
+search in the package.  Complexes are immutable.
 
-A long run of excisions and collapses goes through a WorkingComplex
-instead: the same move functions change it in place and return it, with
-the same MoveRecord, and freeze() takes a SimplicialComplex snapshot.
+The four structural moves (excision, elementary collapse, edge
+contraction, vertex identification) each have one implementation, a
+method of WorkingComplex that changes it in place; the last two share
+_glue, which renames one vertex's star.  The module-level move functions
+are their entry points: they change a WorkingComplex in place and return
+it, or run the move on a working copy of a frozen complex and return
+its freeze() snapshot, each with a MoveRecord, so a reduction pipeline
+can be audited and replayed.
 
 Invariants of a complex (Betti numbers, property A, the surface check)
 are computed once per complex object and kept on it, by per_complex.
@@ -156,16 +158,6 @@ class SimplicialComplex(Value):
             return self
         return SimplicialComplex(self.by_dim[: n + 1])
 
-    def link(self, vertex: str) -> "SimplicialComplex":
-        v = check_label(vertex)
-        if (v,) not in self:
-            raise NotFoundError(f"vertex {v!r} is not in the complex")
-        sims = []
-        for s in self.all_simplices():
-            if v in s and len(s) > 1:
-                sims.append(tuple(x for x in s if x != v))
-        return SimplicialComplex.from_simplices(sims)
-
     @cached_property
     def _facet_cofaces(self) -> dict[Simplex, tuple[Simplex, ...]]:
         """Codimension-1 cofaces of every simplex, the one incidence
@@ -211,33 +203,6 @@ class SimplicialComplex(Value):
         if (v,) not in self:
             raise NotFoundError(f"vertex {v!r} is not in the complex")
         return len(self._adjacency[v])
-
-    def path_exists(self, a: str, b: str, forbidden: Iterable[str] | None = None) -> bool:
-        """Is there an edge path from a to b, optionally avoiding one edge?"""
-        va, vb = check_label(a), check_label(b)
-        for v in (va, vb):
-            if (v,) not in self:
-                raise NotFoundError(f"vertex {v!r} is not in the complex")
-        banned: Simplex | None = None
-        if forbidden is not None:
-            banned = make_simplex(forbidden)
-            if len(banned) != 2 or banned not in self:
-                raise PreconditionError(f"forbidden simplex {banned} is not an edge of the complex")
-        if va == vb:
-            return True
-        seen = {va}
-        queue = deque([va])
-        while queue:
-            cur = queue.popleft()
-            for nxt in self._adjacency[cur]:
-                if banned is not None and tuple(sorted((cur, nxt))) == banned:
-                    continue
-                if nxt == vb:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return False
 
     def strongly_connected_components(self) -> tuple[tuple[Simplex, ...], ...]:
         """Partition of the 2-simplices into classes connected through
@@ -335,17 +300,19 @@ class MoveRecord(Value):
 
 
 class WorkingComplex:
-    """A mutable complex for a long run of excisions and collapses.
+    """A mutable complex on which every move kind runs in place.
 
     It keeps the simplices of each dimension, the codimension-1 cofaces
-    of each simplex, and a min-heap of (free face, coface) pairs with
-    lazy deletion: an entry is discarded when its face is found no
-    longer free.  A face is free when it has exactly one codimension-1
-    coface; as for SimplicialComplex.free_faces, that coface is then
-    maximal, so this is the same as lying in exactly one strictly
-    larger simplex.  Cofaces are only ever removed, so a face becomes
-    free at most once and is pushed at most once; the heap's smallest
-    live entry is therefore exactly free_faces()[0] of a snapshot.
+    of each simplex, and a min-heap of (free face, coface) pairs.  A
+    face is free when it has exactly one codimension-1 coface; as for
+    SimplicialComplex.free_faces, that coface is then maximal, so this
+    is the same as lying in exactly one strictly larger simplex.  Each
+    move pushes every pair it may have made free (_remove, _glue), but
+    an entry can go stale: its face no longer free, or free through
+    another coface once a glue has renamed its coface.  So an entry is
+    live only when its face is free through its coface; stale ones are
+    dropped at the top, and the smallest live entry is exactly
+    free_faces()[0] of a snapshot.
     """
 
     def __init__(self, complex_: SimplicialComplex):
@@ -371,13 +338,16 @@ class WorkingComplex:
     def _is_free(self, face: Simplex) -> bool:
         return len(self._cofaces.get(face, ())) == 1
 
+    def _neighbours(self, vertex: str) -> set[str]:
+        return {x for edge in self._cofaces[(vertex,)] for x in edge if x != vertex}
+
     def smallest_free_face(self) -> tuple[Simplex, Simplex] | None:
         """The smallest (face, coface) pair whose face lies in exactly
         one strictly larger simplex, or None when there is none."""
         free = self._free
         while free:
             face, coface = free[0]
-            if self._is_free(face):
+            if self._is_free(face) and coface in self._cofaces[face]:
                 return face, coface
             heapq.heappop(free)
         return None
@@ -388,6 +358,11 @@ class WorkingComplex:
 
     def freeze(self) -> SimplicialComplex:
         return SimplicialComplex(tuple(tuple(sorted(group)) for group in self._groups))
+
+    def _push_free(self, faces: Iterable[Simplex]) -> None:
+        for f in faces:
+            if self._is_free(f):
+                heapq.heappush(self._free, (f, next(iter(self._cofaces[f]))))
 
     def _remove(self, *simplices: Simplex) -> None:
         """Delete simplices, each maximal once those before it are gone,
@@ -410,9 +385,43 @@ class WorkingComplex:
                     facets.add(f)
         while self._groups and not self._groups[-1]:
             self._groups.pop()
-        for f in facets:
-            if self._is_free(f):
-                heapq.heappush(self._free, (f, next(iter(self._cofaces[f]))))
+        self._push_free(facets)
+
+    def _glue(self, keep: str, drop: str) -> None:
+        """Rename drop to keep in every simplex of drop's star.
+
+        keep and drop must be non-adjacent with no common neighbour, so
+        only the two vertices merge: t = g + {keep}, g nonempty, is new,
+        else g would lie in both links.  Only the renamed simplices and
+        their facets g gain or swap cofaces, so only they can become
+        free through a new coface; those that are free are pushed.
+        """
+        cofaces, groups = self._cofaces, self._groups
+        # every simplex with drop is a coface of a coface ... of (drop,)
+        renamed = {(drop,): (keep,)}
+        stack = [(drop,)]
+        while stack:
+            for c in cofaces[stack.pop()]:
+                if c not in renamed:
+                    renamed[c] = tuple(sorted(keep if x == drop else x for x in c))
+                    stack.append(c)
+        for s, t in renamed.items():
+            if len(s) > 1 and t in cofaces:
+                raise InconsistencyError(f"gluing {drop!r} to {keep!r} would merge {s} with {t}")
+        old = {s: cofaces.pop(s) for s in renamed}
+        for s, t in renamed.items():
+            groups[len(s) - 1].remove(s)
+            if len(s) > 1:
+                g = tuple(x for x in s if x != drop)
+                cofaces[g].remove(s)
+                cofaces[g].add(t)
+                cofaces[t] = {renamed[c] for c in old[s]}
+                groups[len(t) - 1].add(t)
+        cofaces[(keep,)].update(renamed[c] for c in old[(drop,)])
+        touched = set(renamed.values())
+        for t in renamed.values():
+            touched.update(itertools.combinations(t, len(t) - 1))
+        self._push_free(touched)
 
     def _excise(self, triangle: Iterable[str], aux: tuple[Simplex, ...]) -> MoveRecord:
         t = make_simplex(triangle)
@@ -437,62 +446,79 @@ class WorkingComplex:
         self._remove(coface, f)
         return MoveRecord(COLLAPSE, (f, coface), before, self.f_vector)
 
+    def _contract(self, edge: Iterable[str]) -> MoveRecord:
+        e = make_simplex(edge)
+        if len(e) != 2 or e not in self:
+            raise NotFoundError(f"{e} is not an edge of the complex")
+        if self._cofaces[e]:
+            raise PreconditionError(f"edge {e} is not maximal")
+        keep, drop = e  # ascending, so keep is the smaller label
+        # a search from keep for a path to drop other than e
+        seen, todo = {keep, drop}, [keep]
+        for v in todo:
+            neighbours = self._neighbours(v)
+            if v != keep and drop in neighbours:
+                raise PropertyAViolationError(
+                    f"endpoints of {e} remain connected without it; contracting would kill an essential circle"
+                )
+            todo += neighbours - seen
+            seen |= neighbours
+        before = self.f_vector
+        self._remove(e)
+        self._glue(keep, drop)
+        return MoveRecord(CONTRACTION, (e,), before, self.f_vector)
+
+    def _identify(self, v: str, w: str) -> MoveRecord:
+        va, vb = check_label(v), check_label(w)
+        for x in (va, vb):
+            if (x,) not in self:
+                raise NotFoundError(f"vertex {x!r} is not in the complex")
+        if va == vb:
+            raise PreconditionError("the two vertices must be distinct")
+        if self.dim > 2:
+            raise PreconditionError("vertex identification is only defined in dimension <= 2")
+        if make_simplex((va, vb)) in self:
+            raise PreconditionError(f"{va} and {vb} are adjacent; identification needs non-adjacent vertices")
+        # a vertex's neighbours are exactly the vertices of its link
+        shared = sorted(self._neighbours(va) & self._neighbours(vb))
+        if shared:
+            raise PreconditionError(f"links of {va} and {vb} share vertices {shared}; they must be disjoint")
+        keep, drop = sorted((va, vb))
+        before = self.f_vector
+        self._glue(keep, drop)
+        return MoveRecord(IDENTIFICATION, ((keep,), (drop,)), before, self.f_vector)
+
+
+def _in_place(
+    complex_: SimplicialComplex | WorkingComplex, move: Callable[..., MoveRecord], *args
+) -> tuple[SimplicialComplex | WorkingComplex, MoveRecord]:
+    """Run a WorkingComplex move on a working complex, returned changed,
+    or on a working copy of a frozen complex, whose snapshot is returned."""
+    work = complex_ if isinstance(complex_, WorkingComplex) else WorkingComplex(complex_)
+    record = move(work, *args)
+    return (work if work is complex_ else work.freeze()), record
+
 
 def remove_two_simplex(
     complex_: SimplicialComplex | WorkingComplex,
     triangle: Iterable[str],
     aux: tuple[Simplex, ...] = (),
 ) -> tuple[SimplicialComplex | WorkingComplex, MoveRecord]:
-    """Delete one 2-simplex (its edges and vertices stay).  A
-    WorkingComplex is changed in place and returned."""
-    if isinstance(complex_, WorkingComplex):
-        return complex_, complex_._excise(triangle, aux)
-    t = make_simplex(triangle)
-    if len(t) != 3 or t not in complex_:
-        raise PreconditionError(f"{t} is not a 2-simplex of the complex")
-    if complex_._facet_cofaces[t]:
-        raise PreconditionError(f"{t} lies in a higher simplex; removing it would break closure")
-    new = SimplicialComplex.from_simplices(s for s in complex_.all_simplices() if s != t)
-    rec = MoveRecord(EXCISION, (t,), complex_.f_vector, new.f_vector, aux)
-    return new, rec
+    """Delete one 2-simplex that lies in no higher simplex (its edges
+    and vertices stay)."""
+    return _in_place(complex_, WorkingComplex._excise, triangle, aux)
 
 
 def collapse_free_face(
     complex_: SimplicialComplex | WorkingComplex, face: Iterable[str]
 ) -> tuple[SimplicialComplex | WorkingComplex, MoveRecord]:
-    """Elementary collapse: remove a free face and its unique coface.  A
-    WorkingComplex is changed in place and returned."""
-    if isinstance(complex_, WorkingComplex):
-        return complex_, complex_._collapse(face)
-    f = make_simplex(face)
-    if f not in complex_:
-        raise NotFoundError(f"{f} is not in the complex")
-    cofaces = complex_._facet_cofaces[f]
-    if len(cofaces) != 1:
-        raise PreconditionError(
-            f"{f} has {len(cofaces)} codimension-1 cofaces; a free face has exactly one"
-        )
-    (coface,) = cofaces
-    removed = {f, coface}
-    new = SimplicialComplex.from_simplices(
-        s for s in complex_.all_simplices() if s not in removed
-    )
-    rec = MoveRecord(COLLAPSE, (f, coface), complex_.f_vector, new.f_vector)
-    return new, rec
-
-
-def _relabel(simplices: Iterable[Simplex], keep: str, drop: str) -> set[Simplex]:
-    out = set()
-    for s in simplices:
-        if drop in s:
-            s = tuple(sorted({keep if x == drop else x for x in s}))
-        out.add(s)
-    return out
+    """Elementary collapse: remove a free face and its unique coface."""
+    return _in_place(complex_, WorkingComplex._collapse, face)
 
 
 def contract_edge(
-    complex_: SimplicialComplex, edge: Iterable[str]
-) -> tuple[SimplicialComplex, MoveRecord]:
+    complex_: SimplicialComplex | WorkingComplex, edge: Iterable[str]
+) -> tuple[SimplicialComplex | WorkingComplex, MoveRecord]:
     """Contract a maximal edge whose endpoints have no other connection.
 
     The edge must lie in no larger simplex, and removing it must
@@ -501,57 +527,19 @@ def contract_edge(
     for complexes with cup-product regularity, so that case raises
     PropertyAViolationError.
     """
-    e = make_simplex(edge)
-    if len(e) != 2 or e not in complex_:
-        raise NotFoundError(f"{e} is not an edge of the complex")
-    if complex_._facet_cofaces[e]:
-        raise PreconditionError(f"edge {e} is not maximal")
-    a, b = e
-    if complex_.path_exists(a, b, forbidden=e):
-        raise PropertyAViolationError(
-            f"endpoints of {e} remain connected without it; contracting would kill an essential circle"
-        )
-    keep, drop = e  # ascending, so keep is the smaller label
-    new = SimplicialComplex.from_simplices(_relabel(complex_.all_simplices(), keep, drop))
-    f0, f1 = complex_.f_vector, new.f_vector
-    # contracting a lone segment leaves a point, so f1 may lack an edge entry
-    g1 = f1 + (0,) * (len(f0) - len(f1))
-    if g1[0] != f0[0] - 1 or g1[1] != f0[1] - 1 or g1[2:] != f0[2:]:
-        raise InconsistencyError(f"contraction of {e} changed the f-vector unexpectedly: {f0} -> {f1}")
-    rec = MoveRecord(CONTRACTION, (e,), f0, f1)
-    return new, rec
+    return _in_place(complex_, WorkingComplex._contract, edge)
 
 
 def identify_vertices(
-    complex_: SimplicialComplex, v: str, w: str
-) -> tuple[SimplicialComplex, MoveRecord]:
+    complex_: SimplicialComplex | WorkingComplex, v: str, w: str
+) -> tuple[SimplicialComplex | WorkingComplex, MoveRecord]:
     """Glue two non-adjacent vertices with vertex-disjoint links.
 
     Defined for complexes of dimension <= 2.  Under these hypotheses no
     simplices merge except the two vertices, so the quotient is again a
     simplicial complex with one vertex fewer.
     """
-    va, vb = check_label(v), check_label(w)
-    for x in (va, vb):
-        if (x,) not in complex_:
-            raise NotFoundError(f"vertex {x!r} is not in the complex")
-    if va == vb:
-        raise PreconditionError("the two vertices must be distinct")
-    if complex_.dim > 2:
-        raise PreconditionError("vertex identification is only defined in dimension <= 2")
-    if make_simplex((va, vb)) in complex_:
-        raise PreconditionError(f"{va} and {vb} are adjacent; identification needs non-adjacent vertices")
-    # a vertex's neighbours are exactly the vertices of its link
-    shared = sorted(set(complex_._adjacency[va]) & set(complex_._adjacency[vb]))
-    if shared:
-        raise PreconditionError(f"links of {va} and {vb} share vertices {shared}; they must be disjoint")
-    keep, drop = sorted((va, vb))
-    new = SimplicialComplex.from_simplices(_relabel(complex_.all_simplices(), keep, drop))
-    f0, f1 = complex_.f_vector, new.f_vector
-    if f1[0] != f0[0] - 1 or f1[1:] != f0[1:]:
-        raise InconsistencyError(f"identification of {va},{vb} changed the f-vector unexpectedly: {f0} -> {f1}")
-    rec = MoveRecord(IDENTIFICATION, ((keep,), (drop,)), f0, f1)
-    return new, rec
+    return _in_place(complex_, WorkingComplex._identify, v, w)
 
 
 def apply_move(complex_: SimplicialComplex, record: MoveRecord) -> SimplicialComplex:

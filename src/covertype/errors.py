@@ -1,6 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the quoting of a
+user's word in an error line."""
 
 from __future__ import annotations
+
+
+def shown(word: str) -> str:
+    """A word given by the user, quoted for an error line, and cut to
+    its first 20 characters and its length when long."""
+    return repr(word) if len(word) <= 40 else f"{word[:20]!r}... ({len(word)} characters)"
 
 
 class CoveringTypeError(Exception):

@@ -9,10 +9,10 @@ certify the vertex lower bound rho for anything homotopy equivalent to
 the surface.
 
 Each stage applies its moves in place to a WorkingComplex and takes a
-frozen SimplicialComplex snapshot only at its end and before each edge
-contraction; the next stage starts from that snapshot.  Every recorded
-Betti entry is exact: it comes from a rank update whose witness is
-checked on the spot.
+frozen SimplicialComplex snapshot only at its end; the next stage starts
+from that snapshot.  Every recorded Betti entry is exact: it comes from
+a rank update or a homotopy equivalence whose witness is checked on the
+spot.
 
 - Collapse of (f, c), dim f = k: c has no coface and f has no
   codimension-1 coface but c, so row f of d_(k+1) is a single 1 in
@@ -23,8 +23,10 @@ checked on the spot.
 - Excision of sigma with evidence z: d_2 z = 0, z lies on the current
   triangles and contains sigma, so column sigma of d_2 is a sum of
   other columns: rank d_2 stays and b_2 falls by 1.
-- Edge contraction (rare): the Betti numbers are recomputed from
-  scratch.
+- Contraction of a maximal edge ab: contract_edge refuses it when an
+  edge path joins a and b without ab.  So no vertex neighbours both,
+  no two simplices merge, and collapsing the contractible edge is a
+  homotopy equivalence: the Betti numbers stay, as for a collapse.
 - Seam: betti_numbers of the snapshot must equal the tracked numbers,
   else InconsistencyError.
 
@@ -122,13 +124,6 @@ class ReductionTrace(Value):
         return counts
 
 
-def _same_betti(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    # a move may drop the dimension, shortening the tuple; trailing
-    # zeros carry no homology
-    n = max(len(a), len(b))
-    return a + (0,) * (n - len(a)) == b + (0,) * (n - len(b))
-
-
 def _concat_traces(first: ReductionTrace, second: ReductionTrace) -> ReductionTrace:
     if first.final_f != second.initial_f:
         raise InconsistencyError("traces do not compose: f-vectors disagree at the seam")
@@ -213,6 +208,16 @@ class _Run:
             b0, b1, b2 = self.betti
             self._record(record, (b0, b1, b2 - 1))
 
+    def _record_equivalence(self, record: MoveRecord) -> None:
+        """Record a homotopy equivalence: the Betti numbers stay, except
+        that the top one, then 0, goes when the dimension drops."""
+        betti = self.betti
+        if any(betti[self.work.dim + 1 :]):
+            raise InconsistencyError(
+                f"{record.kind} of {record.simplices[0]} dropped a dimension with homology"
+            )
+        self._record(record, betti[: self.work.dim + 1])
+
     def collapse(self) -> None:
         """Collapse free faces until none remain, smallest pair first."""
         work = self.work
@@ -220,24 +225,13 @@ class _Run:
             face, coface = pair
             if not _is_collapse_witness(work, face, coface):
                 raise InconsistencyError(f"collapse of {face} into {coface} has no valid witness")
-            _, record = collapse_free_face(work, face)
-            betti = self.betti
-            if any(betti[work.dim + 1 :]):
-                raise InconsistencyError(f"collapse of {face} dropped a dimension with homology")
-            self._record(record, betti[: work.dim + 1])
+            self._record_equivalence(collapse_free_face(work, face)[1])
 
     def contract(self) -> None:
         """Contract maximal edges, smallest first, and re-collapse after
         each, until none remain."""
         while (edge := self.work.smallest_maximal_edge()) is not None:
-            current, record = contract_edge(self.snapshot(), edge)
-            step = betti_numbers(current)
-            if not _same_betti(step, self.betti):
-                raise InconsistencyError(
-                    f"contraction of {edge} changed the Betti numbers {self.betti} -> {step}"
-                )
-            self._record(record, step)
-            self.work, self._snapshot = WorkingComplex(current), current
+            self._record_equivalence(contract_edge(self.work, edge)[1])
             self.collapse()
 
 

@@ -40,6 +40,7 @@ from .errors import (
     DomainError,
     InconsistencyError,
     PreconditionError,
+    shown,
 )
 from .value import Value
 
@@ -112,7 +113,7 @@ def surface_from_name(name: str) -> SurfaceClass:
                 f"genus with {len(digits)} digits; at most {MAX_GENUS_DIGITS} are allowed"
             )
         return SurfaceClass(text[0] == "M", int(digits))
-    raise DomainError(f"unknown surface name {name!r}")
+    raise DomainError(f"unknown surface name {shown(name)}")
 
 
 class SurfaceCheckReport(Value):

@@ -11,7 +11,7 @@ import random
 
 import covertype as ct
 from covertype.complexes import COLLAPSE, CONTRACTION, EXCISION
-from oracles import free_faces_reference
+from oracles import free_faces_reference, replay_reference
 
 SURFACE_FILES = (
     ("sphere_4", ct.SurfaceClass(True, 0)),
@@ -176,8 +176,9 @@ def replay_from_scratch(complex_, trace):
     with apply_move, recomputing each step from scratch: the Betti
     numbers after it, the free face a collapse must take (the
     smallest, also by the strict-coface reference), the excision the
-    surplus-cycle search picks, and the maximal edge a contraction
-    must take.  Returns the final complex."""
+    surplus-cycle search picks, the maximal edge a contraction must
+    take, and the complex the move's rebuilding reference gives.
+    Returns the final complex."""
     current = complex_.skeleton(2)
     assert current.f_vector == trace.initial_f
     assert ct.betti_numbers(current) == trace.betti_steps[0]
@@ -195,7 +196,9 @@ def replay_from_scratch(complex_, trace):
             assert maximal[0] == move.simplices[0]
         else:
             raise AssertionError(f"unexpected move kind {move.kind}")
+        expected = replay_reference(current, move)
         current = ct.apply_move(current, move)
+        assert current == expected
         assert ct.betti_numbers(current) == betti
     assert current.f_vector == trace.final_f
     assert ct.has_property_A(current) == trace.property_a_final

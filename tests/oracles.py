@@ -1,14 +1,30 @@
 """Slow reference implementations, kept deliberately independent of the
-package's linear algebra: dense 0/1 integer matrices, list-of-lists
-elimination, and integer scans.  These are the second route the fast
-code is checked against."""
+package's linear algebra and move engine: dense 0/1 integer matrices,
+list-of-lists elimination, integer scans, and moves that rebuild the
+whole complex.  These are the second route the fast code is checked
+against."""
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
-from covertype.complexes import make_simplex
-from covertype.errors import InconsistencyError, NotFoundError, PreconditionError
+from covertype.complexes import (
+    COLLAPSE,
+    CONTRACTION,
+    EXCISION,
+    IDENTIFICATION,
+    MoveRecord,
+    SimplicialComplex,
+    check_label,
+    make_simplex,
+)
+from covertype.errors import (
+    InconsistencyError,
+    NotFoundError,
+    PreconditionError,
+    PropertyAViolationError,
+)
 from covertype.gf2 import Gf2Matrix, Gf2Vector
 from covertype.surfaces import SurfaceCheckReport
 
@@ -212,6 +228,46 @@ def free_faces_reference(complex_):
     return sorted((s, cof[0]) for s, cof in strict_coface_reference(complex_).items() if len(cof) == 1)
 
 
+def link(complex_, vertex):
+    """The link of a vertex: each simplex on it, less the vertex."""
+    v = check_label(vertex)
+    if (v,) not in complex_:
+        raise NotFoundError(f"vertex {v!r} is not in the complex")
+    sims = []
+    for s in complex_.all_simplices():
+        if v in s and len(s) > 1:
+            sims.append(tuple(x for x in s if x != v))
+    return SimplicialComplex.from_simplices(sims)
+
+
+def path_exists(complex_, a, b, forbidden=None):
+    """Is there an edge path from a to b, optionally avoiding one edge?"""
+    va, vb = check_label(a), check_label(b)
+    for v in (va, vb):
+        if (v,) not in complex_:
+            raise NotFoundError(f"vertex {v!r} is not in the complex")
+    banned = None
+    if forbidden is not None:
+        banned = make_simplex(forbidden)
+        if len(banned) != 2 or banned not in complex_:
+            raise PreconditionError(f"forbidden simplex {banned} is not an edge of the complex")
+    if va == vb:
+        return True
+    seen = {va}
+    queue = deque([va])
+    while queue:
+        cur = queue.popleft()
+        for nxt in complex_._adjacency[cur]:
+            if banned is not None and tuple(sorted((cur, nxt))) == banned:
+                continue
+            if nxt == vb:
+                return True
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return False
+
+
 def closed_surface_reference(complex_):
     """The closed-surface check built from one link() per vertex and one
     path_exists search per link vertex: O(f0 * sum f) membership tests.
@@ -230,7 +286,7 @@ def closed_surface_reference(complex_):
     two_tris = complex_.dim >= 1 and not bad_edges and bool(complex_.simplices(1))
     comps = complex_.strongly_connected_components()
     bad_vertices = tuple(
-        v for v in complex_.vertices if not _link_is_circle_reference(complex_.link(v))
+        v for v in complex_.vertices if not _link_is_circle_reference(link(complex_, v))
     )
     return SurfaceCheckReport(
         pure_two_dimensional=pure,
@@ -253,7 +309,7 @@ def _link_is_circle_reference(link):
     if any(link.vertex_degree(v) != 2 for v in link.vertices):
         return False
     start = link.vertices[0]
-    return all(link.path_exists(start, v) for v in link.vertices)
+    return all(path_exists(link, start, v) for v in link.vertices)
 
 
 # Constructors and checks that only tests use; the package builds its
@@ -316,3 +372,102 @@ def validate_complex(complex_):
         raise InconsistencyError("more edges than a simple graph allows")
     if any(a == 0 for a in f):
         raise InconsistencyError("empty dimension group inside the complex")
+
+
+# The four structural moves, each by rebuilding the whole complex from
+# its simplex list, as the package did before it moved them onto
+# WorkingComplex: the second route the in-place engine is checked
+# against.  Each takes a frozen complex and returns (new complex,
+# MoveRecord).
+
+
+def excise_reference(complex_, triangle, aux=()):
+    t = make_simplex(triangle)
+    if len(t) != 3 or t not in complex_:
+        raise PreconditionError(f"{t} is not a 2-simplex of the complex")
+    if complex_._facet_cofaces[t]:
+        raise PreconditionError(f"{t} lies in a higher simplex; removing it would break closure")
+    new = SimplicialComplex.from_simplices(s for s in complex_.all_simplices() if s != t)
+    return new, MoveRecord(EXCISION, (t,), complex_.f_vector, new.f_vector, aux)
+
+
+def collapse_reference(complex_, face):
+    f = make_simplex(face)
+    if f not in complex_:
+        raise NotFoundError(f"{f} is not in the complex")
+    cofaces = complex_._facet_cofaces[f]
+    if len(cofaces) != 1:
+        raise PreconditionError(
+            f"{f} has {len(cofaces)} codimension-1 cofaces; a free face has exactly one"
+        )
+    (coface,) = cofaces
+    removed = {f, coface}
+    new = SimplicialComplex.from_simplices(s for s in complex_.all_simplices() if s not in removed)
+    return new, MoveRecord(COLLAPSE, (f, coface), complex_.f_vector, new.f_vector)
+
+
+def _relabel(simplices, keep, drop):
+    out = set()
+    for s in simplices:
+        if drop in s:
+            s = tuple(sorted({keep if x == drop else x for x in s}))
+        out.add(s)
+    return out
+
+
+def contract_reference(complex_, edge):
+    e = make_simplex(edge)
+    if len(e) != 2 or e not in complex_:
+        raise NotFoundError(f"{e} is not an edge of the complex")
+    if complex_._facet_cofaces[e]:
+        raise PreconditionError(f"edge {e} is not maximal")
+    a, b = e
+    if path_exists(complex_, a, b, forbidden=e):
+        raise PropertyAViolationError(
+            f"endpoints of {e} remain connected without it; contracting would kill an essential circle"
+        )
+    new = SimplicialComplex.from_simplices(_relabel(complex_.all_simplices(), a, b))
+    f0, f1 = complex_.f_vector, new.f_vector
+    # contracting a lone segment leaves a point, so f1 may lack an edge entry
+    g1 = f1 + (0,) * (len(f0) - len(f1))
+    if g1[0] != f0[0] - 1 or g1[1] != f0[1] - 1 or g1[2:] != f0[2:]:
+        raise InconsistencyError(f"contraction of {e} changed the f-vector unexpectedly: {f0} -> {f1}")
+    return new, MoveRecord(CONTRACTION, (e,), f0, f1)
+
+
+def identify_reference(complex_, v, w):
+    va, vb = check_label(v), check_label(w)
+    for x in (va, vb):
+        if (x,) not in complex_:
+            raise NotFoundError(f"vertex {x!r} is not in the complex")
+    if va == vb:
+        raise PreconditionError("the two vertices must be distinct")
+    if complex_.dim > 2:
+        raise PreconditionError("vertex identification is only defined in dimension <= 2")
+    if make_simplex((va, vb)) in complex_:
+        raise PreconditionError(f"{va} and {vb} are adjacent; identification needs non-adjacent vertices")
+    shared = sorted(set(complex_._adjacency[va]) & set(complex_._adjacency[vb]))
+    if shared:
+        raise PreconditionError(f"links of {va} and {vb} share vertices {shared}; they must be disjoint")
+    keep, drop = sorted((va, vb))
+    new = SimplicialComplex.from_simplices(_relabel(complex_.all_simplices(), keep, drop))
+    f0, f1 = complex_.f_vector, new.f_vector
+    if f1[0] != f0[0] - 1 or f1[1:] != f0[1:]:
+        raise InconsistencyError(f"identification of {va},{vb} changed the f-vector unexpectedly: {f0} -> {f1}")
+    return new, MoveRecord(IDENTIFICATION, ((keep,), (drop,)), f0, f1)
+
+
+def replay_reference(complex_, record):
+    """The complex after a recorded move, by the move's reference, which
+    must make the same record."""
+    if record.kind == EXCISION:
+        new, rec = excise_reference(complex_, record.simplices[0], record.aux)
+    elif record.kind == COLLAPSE:
+        new, rec = collapse_reference(complex_, record.simplices[0])
+    elif record.kind == CONTRACTION:
+        new, rec = contract_reference(complex_, record.simplices[0])
+    else:
+        (keep,), (drop,) = record.simplices
+        new, rec = identify_reference(complex_, keep, drop)
+    assert rec == record
+    return new

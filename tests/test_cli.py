@@ -4,6 +4,7 @@ the documented error mapping."""
 from __future__ import annotations
 
 import hashlib
+import os
 import subprocess
 import sys
 import time
@@ -533,8 +534,8 @@ def test_human_lines_are_the_labelled_machine_fields(files, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "name",
-    ["M\u00b2", "N\u0663", "M" + "9" * 5000, "M" + "9" * 4300],
-    ids=["superscript", "arabic-indic", "beyond-int-limit", "chi-beyond-int-limit"],
+    ["M\u00b2", "N\u0663", "M" + "9" * 5000, "M" + "9" * 4300, "X" * 3000],
+    ids=["superscript", "arabic-indic", "beyond-int-limit", "chi-beyond-int-limit", "long-word"],
 )
 @pytest.mark.parametrize(
     "argv", [("bounds",), ("reduce", "torus_7", "{out}")], ids=["bounds", "reduce"]
@@ -544,6 +545,7 @@ def test_bad_surface_name_is_a_usage_error(name, argv, files, tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
+    assert len(err) < 200  # an over-long name is not repeated
     assert not (tmp_path / "out.cplx").exists()
 
 
@@ -569,3 +571,29 @@ def test_module_entry_point(files):
     )
     assert proc.returncode == 0
     assert "covering_type: 7" in proc.stdout
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(("surface", "klein_bottle_8"), 0), (("property-a", "torus_wedge_circle_9"), 1), (("--help",), 0)],
+    ids=["surface", "property-a", "help"],
+)
+def test_closed_stdout_is_not_an_error(argv, expected, buffered, files):
+    """A reader that has closed its end before the command writes: the
+    command's own exit code, and nothing on stderr."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "covertype", "--machine", *(str(files.get(a, a)) for a in argv)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (expected, b"")

@@ -27,7 +27,17 @@ from covertype.errors import (
 )
 
 from helpers import random_small_complex
-from oracles import edge_triangle_count, strict_coface_reference, validate_complex
+from oracles import (
+    collapse_reference,
+    contract_reference,
+    edge_triangle_count,
+    excise_reference,
+    identify_reference,
+    link,
+    path_exists,
+    strict_coface_reference,
+    validate_complex,
+)
 
 
 def test_make_simplex_canonical_form():
@@ -79,16 +89,16 @@ def test_skeleton():
 def test_link_in_torus(torus):
     # every vertex link in a closed surface is a single circle
     for v in torus.vertices:
-        link = torus.link(v)
-        assert link.f_vector == (6, 6)
-        assert all(link.vertex_degree(u) == 2 for u in link.vertices)
+        circle = link(torus, v)
+        assert circle.f_vector == (6, 6)
+        assert all(circle.vertex_degree(u) == 2 for u in circle.vertices)
 
 
 def test_link_of_missing_vertex():
     k = ct.build_complex([("a", "b", "c"), ("a", "b", "d")])
-    assert k.link("c").f_vector == (2, 1)
+    assert link(k, "c").f_vector == (2, 1)
     with pytest.raises(NotFoundError):
-        k.link("e")
+        link(k, "e")
 
 
 def test_build_complex_checks_every_simplex():
@@ -158,13 +168,13 @@ def test_edge_with_three_pages():
 
 def test_path_exists_with_forbidden_edge():
     square = ct.build_complex([("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
-    assert square.path_exists("a", "c")
-    assert square.path_exists("a", "b", forbidden=("a", "b"))  # around the back
+    assert path_exists(square, "a", "c")
+    assert path_exists(square, "a", "b", forbidden=("a", "b"))  # around the back
     path = ct.build_complex([("a", "b"), ("b", "c")])
-    assert not path.path_exists("a", "b", forbidden=("a", "b"))
-    assert path.path_exists("a", "a")
+    assert not path_exists(path, "a", "b", forbidden=("a", "b"))
+    assert path_exists(path, "a", "a")
     with pytest.raises(PreconditionError):
-        path.path_exists("a", "c", forbidden=("a", "c"))
+        path_exists(path, "a", "c", forbidden=("a", "c"))
 
 
 def test_strongly_connected_components(sphere):
@@ -338,7 +348,7 @@ def test_apply_move_rejects_wrong_state():
 
 def test_working_complex_follows_the_frozen_moves():
     """In-place excisions and collapses give the same records and
-    complexes as the frozen moves, and the heap always offers
+    complexes as the rebuilding references, and the heap always offers
     free_faces()[0]."""
     rng = random.Random(2013)
     for _ in range(60):
@@ -348,7 +358,7 @@ def test_working_complex_follows_the_frozen_moves():
         if tops:
             t = rng.choice(tops)
             assert ct.remove_two_simplex(work, t, aux=(t,))[1] == (
-                ct.remove_two_simplex(frozen, t, aux=(t,))[1]
+                excise_reference(frozen, t, aux=(t,))[1]
             )
             frozen = work.freeze()
         while True:
@@ -357,7 +367,7 @@ def test_working_complex_follows_the_frozen_moves():
             if not pairs:
                 break
             same, record = ct.collapse_free_face(work, pairs[0][0])
-            frozen, expected = ct.collapse_free_face(frozen, pairs[0][0])
+            frozen, expected = collapse_reference(frozen, pairs[0][0])
             assert same is work and record == expected
             assert work.freeze() == frozen and work.f_vector == frozen.f_vector
         maximal = [e for e in frozen.simplices(1) if not frozen._facet_cofaces[e]]
@@ -369,8 +379,8 @@ def test_free_and_maximal_match_the_strict_coface_reference():
     of a run agree with the strict cofaces counted over all proper
     faces.  The runs collapse the smallest or a random free face, mixed
     with excisions, on complexes with simplices of up to 5 vertices;
-    the frozen moves must give the same complexes and reject the same
-    faces."""
+    the rebuilding references must give the same complexes and reject
+    the same faces."""
     rng = random.Random(1105)
     for _ in range(150):
         frozen = random_small_complex(rng, largest=5)
@@ -385,18 +395,19 @@ def test_free_and_maximal_match_the_strict_coface_reference():
             held = [s for s, cof in cofaces.items() if len(cof) != 1]
             if held:
                 face = rng.choice(held)
-                for complex_ in (frozen, work):
-                    with pytest.raises(PreconditionError):
-                        ct.collapse_free_face(complex_, face)
+                with pytest.raises(PreconditionError):
+                    collapse_reference(frozen, face)
+                with pytest.raises(PreconditionError):
+                    ct.collapse_free_face(work, face)
             tops = [t for t in maximal if len(t) == 3]
             if tops and rng.random() < 0.25:
                 t = rng.choice(tops)
                 ct.remove_two_simplex(work, t)
-                frozen, _ = ct.remove_two_simplex(frozen, t)
+                frozen, _ = excise_reference(frozen, t)
             elif free:
                 face = free[0][0] if rng.random() < 0.5 else rng.choice(free)[0]
                 ct.collapse_free_face(work, face)
-                frozen, _ = ct.collapse_free_face(frozen, face)
+                frozen, _ = collapse_reference(frozen, face)
             else:
                 break
             assert work.freeze() == frozen
@@ -411,3 +422,69 @@ def test_working_complex_rejects_invalid_moves():
     with pytest.raises(NotFoundError):
         ct.collapse_free_face(work, ("a", "z"))
     assert work.f_vector == (4, 6, 4, 1)
+
+
+def _random_move(rng, frozen):
+    """A random move for the complex as (kind, module function, its
+    reference, arguments), or None when no move of the drawn kind
+    applies.  A contraction may take any maximal edge, so some are
+    rejected; an identification may be drawn in dimension 3, where it
+    is rejected."""
+    kind = rng.choice((COLLAPSE, CONTRACTION, EXCISION, IDENTIFICATION))
+    if kind == COLLAPSE:
+        pool = [(face,) for face, _ in frozen.free_faces()]
+        move = (ct.collapse_free_face, collapse_reference)
+    elif kind == CONTRACTION:
+        pool = [(e,) for e in frozen.simplices(1) if not frozen._facet_cofaces[e]]
+        move = (ct.contract_edge, contract_reference)
+    elif kind == EXCISION:
+        pool = [(t,) for t in frozen.simplices(2) if not frozen._facet_cofaces[t]]
+        move = (ct.remove_two_simplex, excise_reference)
+    else:
+        adjacency = frozen._adjacency
+        pool = [
+            (v, w)
+            for v, w in itertools.combinations(frozen.vertices, 2)
+            if (v, w) not in frozen and not set(adjacency[v]) & set(adjacency[w])
+        ]
+        move = (ct.identify_vertices, identify_reference)
+    return (kind, *move, rng.choice(pool)) if pool else None
+
+
+def test_move_engine_follows_the_references():
+    """Random complexes through a mix of all four move kinds on one
+    WorkingComplex.  After every move its snapshot is the complex the
+    rebuilding reference gives, with the same record; the frozen entry
+    point gives it too; the heap offers free_faces()[0] of the snapshot;
+    and a contraction is rejected exactly when another edge path joins
+    the edge's endpoints."""
+    rng = random.Random(1306)
+    done = dict.fromkeys((COLLAPSE, CONTRACTION, EXCISION, IDENTIFICATION, "rejected"), 0)
+    for _ in range(3000):
+        frozen = random_small_complex(rng, largest=rng.choice((3, 4)))
+        work = WorkingComplex(frozen)
+        for _ in range(rng.randint(1, 12)):
+            drawn = _random_move(rng, frozen)
+            if drawn is None:
+                continue
+            kind, function, reference, args = drawn
+            if kind == CONTRACTION and path_exists(frozen, *args[0], forbidden=args[0]):
+                for complex_, move in ((work, function), (frozen, reference)):
+                    with pytest.raises(PropertyAViolationError):
+                        move(complex_, *args)
+                done["rejected"] += 1
+            elif kind == IDENTIFICATION and frozen.dim > 2:
+                for complex_, move in ((work, function), (frozen, reference)):
+                    with pytest.raises(PreconditionError, match="dimension <= 2"):
+                        move(complex_, *args)
+                done["rejected"] += 1
+            else:
+                same, record = function(work, *args)
+                thawed = function(frozen, *args)
+                frozen, expected = reference(frozen, *args)
+                assert same is work and record == expected and thawed == (frozen, expected)
+                done[kind] += 1
+            assert work.freeze() == frozen and work.f_vector == frozen.f_vector
+            pairs = frozen.free_faces()
+            assert work.smallest_free_face() == (pairs[0] if pairs else None)
+    assert min(done.values()) >= 500, done
