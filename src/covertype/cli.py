@@ -349,18 +349,34 @@ def _help() -> str:
     return "\n".join(lines)
 
 
+def _to_devnull(stream) -> None:
+    """Point the stream's fd at os.devnull, so its flush at exit cannot fail."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
 def _write(lines: list[str], code: int) -> int:
     """Print the lines and return the exit code.  A reader that has gone
-    is not an error: the exit code still answers, as under --quiet, and
-    stdout then points at os.devnull, so the flush at exit cannot fail."""
+    is not an error: the exit code still answers, as under --quiet."""
     try:
         for line in lines:
             print(line)
         sys.stdout.flush()
     except BrokenPipeError:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _to_devnull(sys.stdout)
+    return code
+
+
+def _fail(message: str, code: int) -> int:
+    """Print one error line on stderr and return the exit code, which a
+    closed stderr does not change.  With fd 2 closed, Python starts with
+    sys.stderr None, and print would write to stdout instead."""
+    try:
+        if sys.stderr is not None:
+            print(message, file=sys.stderr)
+    except OSError:
+        _to_devnull(sys.stderr)
     return code
 
 
@@ -368,8 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
     except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _fail(f"error: {err}", 2)
     try:
         if args is None:
             return _write([_help()], 0)
@@ -378,17 +393,11 @@ def main(argv: list[str] | None = None) -> int:
         lines = [f"{label}: {_text(value, args.machine)}" for label, value in labelled if label]
         return code if args.quiet else _write(lines, code)
     except StageError as err:
-        print(f"error[{err.stage}]: {err.cause}", file=sys.stderr)
-        return 1
-    except (MalformedInputError, DomainError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _fail(f"error[{err.stage}]: {err.cause}", 1)
+    except (MalformedInputError, DomainError, OSError) as err:
+        return _fail(f"error: {err}", 2)
     except CoveringTypeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return _fail(f"error: {err}", 1)
 
 
 if __name__ == "__main__":

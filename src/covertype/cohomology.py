@@ -18,7 +18,7 @@ from __future__ import annotations
 from . import gf2
 from .complexes import SimplicialComplex, per_complex
 from .errors import PreconditionError
-from .homology import _kernel_modulo_image, chain_data, chain_vector, homology_basis
+from .homology import chain_data, chain_vector, homology_basis
 from .value import Value
 
 __all__ = [
@@ -93,7 +93,7 @@ def h1_cocycle_basis(complex_: SimplicialComplex) -> tuple[Cochain, ...]:
     chosen from the canonical kernel of delta^1 modulo coboundaries."""
     if not complex_.simplices(1):
         return ()
-    reps = _kernel_modulo_image(coboundary_matrix(complex_, 1), coboundary_matrix(complex_, 0))
+    reps = gf2._kernel_modulo_image(coboundary_matrix(complex_, 1), coboundary_matrix(complex_, 0))
     return tuple(Cochain(1, v) for v in reps)
 
 

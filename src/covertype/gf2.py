@@ -3,17 +3,20 @@
 Rows of a matrix (and whole vectors) are stored as Python integers used
 as bit sets, so field addition is a single XOR on machine words.
 
-There is one elimination routine, the pivot-dictionary reduction of
-persistent-homology software (Zomorodian-Carlsson 2005; PHAT, Bauer et
-al. 2017): a `Span` keeps one row per pivot, keyed by the row's lowest
-set bit, and reduces each new vector against it.  `rank` reads off the
-number of pivots and never back-substitutes.  `kernel_basis`,
-`image_basis`, `solve` and `subspace_intersection` back-substitute once
-and return canonical (reduced row echelon) results; the rest of the
-package relies on that for deterministic tie-breaking.  `rank` and
-`kernel_basis` eliminate the side with fewer vectors: the rows of a
-wide matrix, the columns of a tall one.  A matrix keeps its transpose
-in its own __dict__, which does not point back: no reference cycle.
+There is one elimination routine, `Gf2Matrix._reduction`, the
+pivot-dictionary reduction of persistent-homology software
+(Zomorodian-Carlsson 2005; PHAT, Bauer et al. 2017).  It reduces a
+matrix's rows in order, each carrying the set of rows it sums, and the
+matrix keeps the result, as it keeps its transpose, in its own
+__dict__, which does not point back: no reference cycle.  Every entry
+point reads a kept reduction, so a matrix is eliminated at most once:
+`rank` reads the side with fewer vectors and never back-substitutes;
+`kernel_basis`, `image_basis` and `solve` read the transpose's, the
+column reduction; `subspace_intersection` reads that of its stacked
+Zassenhaus matrix.  The bases they return are canonical (reduced row
+echelon); the rest of the package relies on that for deterministic
+tie-breaking.  Homology and cohomology share these reductions: the
+column reduction of d_2 is the row reduction of delta^1.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .value import Value
 __all__ = [
     "Gf2Vector",
     "Gf2Matrix",
-    "Span",
     "rank",
     "kernel_basis",
     "image_basis",
@@ -164,6 +166,37 @@ class Gf2Matrix(Value):
             memo["_transpose"] = Gf2Matrix(self.cols, self.rows, tuple(out))
         return memo["_transpose"]
 
+    def _reduction(self) -> tuple[dict[int, int], list[int]]:
+        """The echelon rows keyed by pivot, and the tags of the rows that
+        reduced to zero, computed once and kept like the transpose.
+
+        Row i enters with bit cols + i set: above bit cols each row
+        carries the set of rows it sums, its tag.  It is reduced by
+        XOR-ing in the row whose pivot is its lowest set bit until that
+        bit is no pivot.  Then it is stored with that bit as its pivot,
+        or, when no bit below cols is left, its tag is a dependency
+        among the rows.  Stored rows are never rewritten.
+        """
+        memo = self.__dict__
+        if "_reduced" not in memo:
+            cols = self.cols
+            pivots: dict[int, int] = {}
+            zeros = []
+            for i, bits in enumerate(self.row_bits):
+                bits |= 1 << (cols + i)
+                while True:
+                    p = (bits & -bits).bit_length() - 1
+                    row = pivots.get(p)
+                    if row is None:
+                        break
+                    bits ^= row
+                if p < cols:
+                    pivots[p] = bits
+                else:
+                    zeros.append(bits >> cols)
+            memo["_reduced"] = (pivots, zeros)
+        return memo["_reduced"]
+
     def __matmul__(self, other):
         if isinstance(other, Gf2Vector):
             if other.length != self.cols:
@@ -191,10 +224,9 @@ class Gf2Matrix(Value):
 
 
 def rank(m: Gf2Matrix) -> int:
-    # rank(m) = rank(m^T): eliminate whichever side has fewer vectors
-    if m.rows <= m.cols:
-        return Span._of_bits(m.cols, m.row_bits).dim
-    return Span._of_bits(m.rows, m.transpose().row_bits).dim
+    # rank(m) = rank(m^T): read the side with fewer vectors
+    side = m if m.rows <= m.cols else m.transpose()
+    return len(side._reduction()[0])
 
 
 def kernel_basis(m: Gf2Matrix) -> list[Gf2Vector]:
@@ -204,51 +236,37 @@ def kernel_basis(m: Gf2Matrix) -> list[Gf2Vector]:
     with a 1 in its free coordinate; this is the reduced-echelon kernel
     basis, so equal matrices always yield the identical list.
 
-    A tall matrix reduces its columns in order, each carrying above bit
-    m.rows the set of columns it sums.  A column reducing to zero is
-    free, and that set, its column plus stored rows that each sum
-    columns that were not free, is its canonical vector.
+    It is read off the column reduction.  A column reduces to zero
+    exactly when it is free, and its tag, itself plus stored columns
+    that each sum columns that were not free, is its canonical vector.
     """
-    if m.rows > m.cols:
-        span = Span(m.rows + m.cols)
-        basis = []
-        for j, col in enumerate(m.transpose().row_bits):
-            bits = span._reduce(col | 1 << (m.rows + j))
-            if (bits & -bits) >> m.rows:  # the column part reduced to zero
-                basis.append(Gf2Vector(m.cols, bits >> m.rows))
-            else:
-                span._insert(bits)
-        return basis
-    rows = Span._of_bits(m.cols, m.row_bits)._reduced_rows()
-    pivots = {p for p, _ in rows}
-    basis = {f: 1 << f for f in range(m.cols) if f not in pivots}
-    # a reduced row is its pivot plus free columns: x_p = sum of those x_f
-    for p, row in rows:
-        for f in _bit_indices(row ^ (1 << p)):
-            basis[f] |= 1 << p
-    return [Gf2Vector(m.cols, bits) for bits in basis.values()]
+    return [Gf2Vector(m.cols, tag) for tag in m.transpose()._reduction()[1]]
 
 
 def image_basis(m: Gf2Matrix) -> list[Gf2Vector]:
     """Canonical basis of the column space, as reduced-echelon rows."""
-    rows = Span._of_bits(m.rows, m.transpose().row_bits)._reduced_rows()
+    rows = _reduced_rows(m.transpose()._reduction()[0], m.rows)
     return [Gf2Vector(m.rows, row) for _, row in rows]
 
 
 def solve(m: Gf2Matrix, b: Gf2Vector) -> Gf2Vector | None:
-    """One solution of m @ x = b with free variables 0, or None."""
+    """One solution of m @ x = b with free variables 0, or None.
+
+    b is reduced against the stored columns, whose tags sum only
+    columns that are not free; if nothing of b is left, they sum to b.
+    """
     if b.length != m.rows:
         raise PreconditionError("right-hand side length does not match row count")
-    # augment each row with the matching coordinate of b in bit position `cols`
-    aug = [r | (((b.bits >> i) & 1) << m.cols) for i, r in enumerate(m.row_bits)]
-    span = Span._of_bits(m.cols + 1, aug)
-    if span.contains(Gf2Vector.unit(m.cols + 1, m.cols)):
-        return None  # 0 = 1 is a consequence of the equations
-    bits = 0
-    for p, row in span._reduced_rows():
-        if (row >> m.cols) & 1:
-            bits |= 1 << p
-    return Gf2Vector(m.cols, bits)
+    pivots = m.transpose()._reduction()[0]
+    bits = b.bits
+    while bits:
+        row = pivots.get((bits & -bits).bit_length() - 1)
+        if row is None:
+            break
+        bits ^= row
+    if bits & ((1 << m.rows) - 1):
+        return None  # b is not in the column space
+    return Gf2Vector(m.cols, bits >> m.rows)
 
 
 def subspace_intersection(a: Sequence[Gf2Vector], b: Sequence[Gf2Vector]) -> list[Gf2Vector]:
@@ -257,8 +275,8 @@ def subspace_intersection(a: Sequence[Gf2Vector], b: Sequence[Gf2Vector]) -> lis
     Zassenhaus: the rows (v | v) for v in a and (v | 0) for v in b, with
     the left half in the low bits, span {(x + y | x)}; its members with
     a zero left half are exactly (0 | x) for x in the intersection, and
-    an echelon basis keyed by lowest set bit spans them by the rows
-    whose pivot lies in the right half.
+    the echelon rows whose pivot lies in the right half are an echelon
+    basis of them.
     """
     vecs = list(a) + list(b)
     if not a or not b:
@@ -268,85 +286,69 @@ def subspace_intersection(a: Sequence[Gf2Vector], b: Sequence[Gf2Vector]) -> lis
         if v.length != n:
             raise PreconditionError("ambient dimensions differ")
     stacked = [v.bits | (v.bits << n) for v in a] + [v.bits for v in b]
-    span = Span._of_bits(2 * n, stacked)
-    meet = Span._of_bits(n, (row >> n for p, row in span._pivots.items() if p >= n))
-    return [Gf2Vector(n, row) for _, row in meet._reduced_rows()]
+    pivots = Gf2Matrix(len(stacked), 2 * n, tuple(stacked))._reduction()[0]
+    meet = {p - n: row >> n for p, row in pivots.items() if p >= n}
+    return [Gf2Vector(n, row) for _, row in _reduced_rows(meet, n)]
 
 
-class Span:
-    """A subspace of GF(2)^length, held as an echelon basis: one row per
-    pivot, keyed by the row's lowest set bit.  This is the package's one
-    elimination routine.
+def _reduced_rows(pivots: dict[int, int], width: int) -> list[tuple[int, int]]:
+    """The reduced row echelon basis of echelon rows keyed by pivot, the
+    unique one in which every pivot column is zero outside its own row,
+    as (pivot, row) pairs with pivots ascending.  Bits from width up,
+    the tags, are dropped.
 
-    A vector is reduced by XOR-ing in the row whose pivot is its lowest
-    set bit until that bit is no pivot (the vector is independent, and
-    joins with that bit as its pivot) or nothing is left (it lies in the
-    span).  Rows are never rewritten once stored.
+    Back substitution from the highest pivot down: a stored row has
+    no bits below its pivot, so every other pivot it touches is
+    higher and its row is already reduced; XOR-ing that row in
+    clears the pivot bit and adds only non-pivot bits.
     """
+    low = (1 << width) - 1
+    mask = 0
+    for p in pivots:
+        mask |= 1 << p
+    reduced: dict[int, int] = {}
+    for p in sorted(pivots, reverse=True):
+        row = pivots[p] & low
+        for q in _bit_indices((row & mask) ^ (1 << p)):
+            row ^= reduced[q]
+        reduced[p] = row
+    return sorted(reduced.items())
 
-    def __init__(self, length: int, vectors: Iterable[Gf2Vector] = ()):
-        self.length = length
-        self._pivots: dict[int, int] = {}
-        for v in vectors:
-            self.add(v)
 
-    @classmethod
-    def _of_bits(cls, length: int, rows: Iterable[int]) -> "Span":
-        """The span of raw bit rows, each narrower than length."""
-        span = cls(length)
-        for bits in rows:
-            span._insert(bits)
-        return span
+def _kernel_modulo_image(m: Gf2Matrix, image_of: Gf2Matrix) -> list[Gf2Vector]:
+    """The vectors of the canonical kernel basis of m that are
+    independent modulo the image of image_of and the vectors kept
+    before them: a basis of ker m / im image_of, for m @ image_of = 0.
 
-    def _reduce(self, bits: int) -> int:
-        """0 if bits lies in the span, else a nonzero remainder whose
-        lowest set bit is no pivot."""
-        pivots = self._pivots
-        while bits:
-            row = pivots.get((bits & -bits).bit_length() - 1)
-            if row is None:
-                return bits
-            bits ^= row
-        return 0
+    Taking the coordinates in m's free columns F maps ker m onto
+    GF(2)^F, v_f to e_f, and the image onto the column space of W,
+    image_of's rows at F.  So v_f is dropped exactly when some image
+    vector has f as its highest coordinate in F: with F taken in
+    descending order, when f is a pivot of image_basis(W).
 
-    def contains(self, v: Gf2Vector) -> bool:
-        if v.length != self.length:
-            raise PreconditionError("ambient dimensions differ")
-        return self._reduce(v.bits) == 0
-
-    def add(self, v: Gf2Vector) -> bool:
-        """Insert v; True if it was independent of the current span."""
-        if v.length != self.length:
-            raise PreconditionError("ambient dimensions differ")
-        return self._insert(v.bits)
-
-    def _insert(self, bits: int) -> bool:
-        bits = self._reduce(bits)
-        if bits == 0:
-            return False
-        self._pivots[(bits & -bits).bit_length() - 1] = bits
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self._pivots)
-
-    def _reduced_rows(self) -> list[tuple[int, int]]:
-        """The reduced row echelon basis, the unique one in which every
-        pivot column is zero outside its own row, as (pivot, row) pairs
-        with pivots ascending.
-
-        Back substitution from the highest pivot down: a stored row has
-        no bits below its pivot, so every other pivot it touches is
-        higher and its row is already reduced; XOR-ing that row in
-        clears the pivot bit and adds only non-pivot bits.
-        """
-        mask = 0
-        for p in self._pivots:
-            mask |= 1 << p
-        reduced: dict[int, int] = {}
-        for p, row in sorted(self._pivots.items(), reverse=True):
-            for q in _bit_indices((row & mask) ^ (1 << p)):
-                row ^= reduced[q]
-            reduced[p] = row
-        return sorted(reduced.items())
+    A tall m reads F and the kept v_f from kernel_basis(m).  A wide m
+    reads F off its row echelon, and builds only the kept v_f, highest
+    pivot p first: a row has no bit below its pivot, so v_f[p] is the
+    parity of the row's bits among those of v_f already set.
+    """
+    if m.rows > m.cols:
+        kernel = {v.bits.bit_length() - 1: v for v in kernel_basis(m)}
+        free = list(kernel)
+    else:
+        echelon = m._reduction()[0]
+        free = [f for f in range(m.cols) if f not in echelon]
+    descending = free[::-1]
+    on_free = Gf2Matrix(len(free), image_of.cols, tuple(image_of.row_bits[f] for f in descending))
+    dropped = {descending[(v.bits & -v.bits).bit_length() - 1] for v in image_basis(on_free)}
+    kept = [f for f in free if f not in dropped]
+    if m.rows > m.cols:
+        return [kernel[f] for f in kept]
+    rows = sorted(echelon.items(), reverse=True)
+    reps = []
+    for f in kept:
+        bits = 1 << f
+        for p, row in rows:
+            if (row & bits).bit_count() & 1:
+                bits |= 1 << p
+        reps.append(Gf2Vector(m.cols, bits))
+    return reps

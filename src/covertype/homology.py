@@ -115,49 +115,35 @@ def homology_basis(complex_: SimplicialComplex, n: int) -> tuple[Chain, ...]:
     """Cycle representatives of a basis of H_n, deterministically chosen.
 
     Walks the canonical kernel basis of d_n and keeps each vector that
-    is independent modulo the boundaries collected so far.
+    is independent modulo the boundaries collected so far.  In degree 0
+    that keeps the smallest vertex of each component, read off the
+    edges by union-find.
     """
     if n < 0 or n > complex_.dim:
         return ()
     data = chain_data(complex_)
-    reps = _kernel_modulo_image(data.boundary_matrix(n), data.boundary_matrix(n + 1))
+    if n == 0:
+        return tuple((v,) for v in _component_minima(data))
+    reps = gf2._kernel_modulo_image(data.boundary_matrix(n), data.boundary_matrix(n + 1))
     return tuple(chain_from_vector(data, n, v) for v in reps)
 
 
-def _kernel_modulo_image(m: gf2.Gf2Matrix, image_of: gf2.Gf2Matrix) -> list[gf2.Gf2Vector]:
-    """The vectors of the canonical kernel basis of m that are
-    independent modulo the image of image_of and the vectors kept
-    before them: a basis of ker m / im image_of, for m @ image_of = 0.
+def _component_minima(data: ChainData) -> list[Simplex]:
+    """The smallest vertex of each connected component, ascending: a
+    union-find over the edges in which the smaller root stays."""
+    parent = list(range(data.count(0)))
 
-    A tall m has a small kernel, walked as said.  For a wide m, taking
-    the coordinates in its free columns F maps ker m onto GF(2)^F, v_f
-    to e_f, and the image onto W, the column space of image_of's rows
-    in F, so v_f is dropped exactly when f is a highest-bit pivot of W.
-    The other f are the lowest-bit pivots of W's orthogonal complement,
-    the kernel of the transpose of those rows: with W reduced by
-    highest bit, e_g plus the pivots of the rows having bit g is
-    orthogonal to W with lowest bit g.  For delta^1 modulo delta^0, by
-    B^1 = Z_1-perp, that kernel is the cycle space of the graph on the
-    free edges.  Each kept v_f is read off m's echelon rows, highest
-    pivot p first: a row has no bit below its pivot, so v_f[p] is the
-    parity of the row's bits among those of v_f already set.
-    """
-    if m.rows > m.cols:
-        span = gf2.Span(m.cols, gf2.image_basis(image_of))
-        return [v for v in gf2.kernel_basis(m) if span.add(v)]
-    echelon = gf2.Span._of_bits(m.cols, m.row_bits)._pivots
-    free = [f for f in range(m.cols) if f not in echelon]
-    on_free = gf2.Gf2Matrix(len(free), image_of.cols, tuple(image_of.row_bits[f] for f in free))
-    cycles = gf2.kernel_basis(on_free.transpose())
-    rows = sorted(echelon.items(), reverse=True)
-    reps = []
-    for i in sorted(gf2.Span(len(free), cycles)._pivots):
-        bits = 1 << free[i]
-        for p, row in rows:
-            if (row & bits).bit_count() & 1:
-                bits |= 1 << p
-        reps.append(gf2.Gf2Vector(m.cols, bits))
-    return reps
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    index = data.index[0]
+    for a, b in data.complex.simplices(1):
+        ra, rb = root(index[(a,)]), root(index[(b,)])
+        parent[max(ra, rb)] = min(ra, rb)
+    return [s for v, s in enumerate(data.simplices[0]) if parent[v] == v]
 
 
 class HomologyProfile(Value):

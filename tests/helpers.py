@@ -10,6 +10,7 @@ import itertools
 import random
 
 import covertype as ct
+from covertype import gf2
 from covertype.complexes import COLLAPSE, CONTRACTION, EXCISION
 from oracles import free_faces_reference, replay_reference
 
@@ -157,6 +158,11 @@ def randomized_thickening(seed):
             )
         log.append(move)
     return complex_, surface, " ".join(log)
+
+
+def independent(vectors, length):
+    """True when the vectors of GF(2)^length are linearly independent."""
+    return gf2.rank(gf2.Gf2Matrix.from_row_vectors(vectors, length)) == len(vectors)
 
 
 def random_small_complex(rng, labels="abcdefghijkl", largest=4):

@@ -199,6 +199,18 @@ def test_reduce_refuses_ambiguous_homology(files, tmp_path, capsys):
     assert machine(out)["final_f_vector"] == "7 21 14"
 
 
+def test_reduce_refuses_homology_of_no_surface(tmp_path, capsys):
+    circle = tmp_path / "circle.cplx"
+    circle.write_text("a b\nb c\na c\n", encoding="utf-8")
+    out_path = tmp_path / "r.cplx"
+    code, out, err = run(capsys, "--machine", "reduce", circle, out_path)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: Betti numbers (1, 1) match no closed surface; pass --surface explicitly\n"
+    )
+    assert not out_path.exists()
+
+
 def test_reduce_reports_failing_stage(files, tmp_path, capsys):
     code, _, err = run(
         capsys,
@@ -597,3 +609,26 @@ def test_closed_stdout_is_not_an_error(argv, expected, buffered, files):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (expected, b"")
+
+
+@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("bounds",), 2),
+        (("bounds", "--chi", "x"), 2),
+        (("homology", "missing.cplx"), 2),
+        (("reduce", "torus_7", "r.cplx", "--surface", "S2"), 1),
+    ],
+    ids=["usage", "bad-chi", "missing-file", "stage"],
+)
+def test_unwritable_stderr_keeps_the_exit_code(argv, expected, redirect, files, tmp_path):
+    """An error line that cannot be printed: the documented exit code
+    all the same, and nothing on stdout.  With fd 2 closed Python has
+    no sys.stderr; opened for reading, every write to it fails."""
+    args = [str(files.get(a, tmp_path / a if a.endswith(".cplx") else a)) for a in argv]
+    proc = subprocess.run(
+        ["sh", "-c", f'"$0" -m covertype "$@" {redirect}', sys.executable, *args],
+        stdout=subprocess.PIPE,
+    )
+    assert (proc.returncode, proc.stdout) == (expected, b"")

@@ -239,16 +239,3 @@ def test_results_are_deterministic():
     a = [m.row(i) for i in range(3)]
     b = [m.row(i) for i in range(2, 6)]
     assert gf2.subspace_intersection(a, b) == gf2.subspace_intersection(a, b)
-
-
-def test_span_incremental():
-    vs = [vector_from_coords(c) for c in ([1, 1, 0], [0, 1, 1], [1, 0, 1])]
-    span = gf2.Span(3)
-    assert span.add(vs[0]) is True
-    assert span.add(vs[1]) is True
-    assert span.add(vs[2]) is False  # sum of the first two
-    assert span.dim == 2
-    assert span.contains(vs[0] + vs[1])
-    assert not span.contains(gf2.Gf2Vector.unit(3, 0))
-    preloaded = gf2.Span(3, vs)
-    assert preloaded.dim == 2

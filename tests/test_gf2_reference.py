@@ -1,5 +1,5 @@
 """The pivot-dictionary eliminator against the Gauss-Jordan reference in
-oracles.py: rank, kernel, image, solve, intersection and Span must agree
+oracles.py: rank, kernel, image, solve and intersection must agree
 exactly (the canonical results bit for bit), on Hypothesis-generated
 matrices and on the boundary matrices of the bundled complexes and their
 first subdivisions.  So must the quotient basis ker m / im A that the
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import covertype as ct
 from covertype import gf2
-from covertype.homology import _kernel_modulo_image, chain_data
+from covertype.homology import chain_data
 from helpers import barycentric_subdivision
 from oracles import (
     image_reference,
@@ -115,7 +115,7 @@ def kernel_image_pairs(draw, max_dim=40):
 def test_kernel_modulo_image_agrees_with_reference(pair):
     m, a = pair
     assert (m @ a).is_zero()
-    kept = _bits(_kernel_modulo_image(m, a))
+    kept = _bits(gf2._kernel_modulo_image(m, a))
     assert kept == kernel_modulo_image_reference(m, a)
     assert len(kept) == m.cols - gf2.rank(m) - gf2.rank(a)
 
@@ -161,27 +161,6 @@ def test_intersection_agrees_with_reference(case):
     a = [gf2.Gf2Vector(n, bits) for bits in a_bits]
     b = [gf2.Gf2Vector(n, bits) for bits in b_bits]
     assert _bits(gf2.subspace_intersection(a, b)) == intersection_reference(a_bits, b_bits, n)
-
-
-@SETTINGS
-@given(matrices(max_dim=80), st.data())
-def test_span_agrees_with_reference(m, data):
-    """add reports independence, contains membership, dim the rank of
-    what was added so far, all as the reference rank says."""
-    rng = data.draw(st.randoms(use_true_random=False))
-    span = gf2.Span(m.cols)
-    added: list[int] = []
-    for bits in m.row_bits:
-        query = rng.getrandbits(m.cols) if rng.random() < 0.5 else bits
-        before = len(rref_reference(added, m.cols)[1])
-        assert span.contains(gf2.Gf2Vector(m.cols, query)) == (
-            len(rref_reference(added + [query], m.cols)[1]) == before
-        )
-        assert span.add(gf2.Gf2Vector(m.cols, bits)) == (
-            len(rref_reference(added + [bits], m.cols)[1]) > before
-        )
-        added.append(bits)
-        assert span.dim == len(rref_reference(added, m.cols)[1])
 
 
 def _complexes():

@@ -23,8 +23,8 @@ from covertype.homology import (
 )
 from covertype.errors import NotFoundError, PreconditionError
 
-from helpers import dunce_hat, random_small_complex, randomized_thickening
-from oracles import betti_oracle
+from helpers import dunce_hat, independent, random_small_complex, randomized_thickening
+from oracles import betti_oracle, kernel_modulo_image_reference
 
 
 def test_boundary_shapes_and_identity(torus):
@@ -123,13 +123,36 @@ def test_homology_basis_properties(torus, genus2):
         reps = homology_basis(k, n)
         assert len(reps) == expected
         boundary = data.boundary_matrix(n)
-        span = gf2.Span(data.count(n), gf2.image_basis(data.boundary_matrix(n + 1)))
-        for rep in reps:
-            v = chain_vector(data, n, rep)
+        vectors = [chain_vector(data, n, rep) for rep in reps]
+        for v in vectors:
             assert (boundary @ v).is_zero()
-            assert span.add(v)  # independent modulo boundaries
+        # independent modulo boundaries
+        boundaries = gf2.image_basis(data.boundary_matrix(n + 1))
+        assert independent(boundaries + vectors, data.count(n))
     assert homology_basis(torus, 0) == ((("1",),),)
     assert homology_basis(torus, 5) == ()
+
+
+def _degree_zero_reference(k):
+    data = chain_data(k)
+    reference = kernel_modulo_image_reference(data.boundary_matrix(0), data.boundary_matrix(1))
+    return tuple(chain_from_vector(data, 0, gf2.Gf2Vector(data.count(0), v)) for v in reference)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_degree_zero_basis_agrees_with_reference(seed):
+    """The smallest vertex of each component is the vector the walk over
+    the canonical kernel of d_0 keeps."""
+    k = random_small_complex(random.Random(seed))
+    assert homology_basis(k, 0) == _degree_zero_reference(k)
+
+
+def test_degree_zero_basis_of_a_disjoint_union(torus, sphere):
+    # the sphere's labels sort between the torus's, so the components interleave
+    relabel = {v: f"{v}5" for v in "1234"}
+    spheres = [[relabel[v] for v in s] for s in sphere.maximal_simplices()]
+    k = ct.build_complex(list(torus.maximal_simplices()) + spheres)
+    assert homology_basis(k, 0) == _degree_zero_reference(k) == ((("1",),), (("15",),))
 
 
 def test_homology_basis_small_cases(sphere):
