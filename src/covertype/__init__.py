@@ -7,9 +7,12 @@ The layer modules load on first use.  Importing the package puts each
 one in sys.modules and binds it here as a module object whose code runs
 on its first attribute access (importlib.util.LazyLoader), so a CLI
 call, a fresh process each time, runs only the modules its command
-uses.  Modules therefore reach each other as `from . import surfaces`
-and look a function up when they call it.  `errors` and `value` load
-eagerly.  The names exported below resolve through `__getattr__`.
+uses: `bounds` runs `surfaces` alone, and only the commands that move
+simplices run `engine`.  Modules therefore reach each other as
+`from . import surfaces` and look a function up when they call it.
+`errors` loads eagerly, and `value`, the base of the layers' value
+types, with the first layer that runs.  The names exported below
+resolve through `__getattr__`.
 """
 
 import sys
@@ -44,6 +47,7 @@ def _lazy(name: str):
 bundled = _lazy("bundled")
 cohomology = _lazy("cohomology")
 complexes = _lazy("complexes")
+engine = _lazy("engine")
 fileformat = _lazy("fileformat")
 gf2 = _lazy("gf2")
 homology = _lazy("homology")

@@ -358,7 +358,10 @@ def _to_devnull(stream) -> None:
 
 def _write(lines: list[str], code: int) -> int:
     """Print the lines and return the exit code.  A reader that has gone
-    is not an error: the exit code still answers, as under --quiet."""
+    is not an error: the exit code still answers, as under --quiet.
+    With fd 1 closed, Python starts with sys.stdout None."""
+    if sys.stdout is None:
+        return code
     try:
         for line in lines:
             print(line)

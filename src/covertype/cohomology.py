@@ -16,10 +16,10 @@ duality, and the reduction pipeline leans on it staying true.
 from __future__ import annotations
 
 from . import gf2
-from .complexes import SimplicialComplex, per_complex
+from .complexes import SimplicialComplex
 from .errors import PreconditionError
 from .homology import chain_data, chain_vector, homology_basis
-from .value import Value
+from .value import Value, per_complex
 
 __all__ = [
     "Cochain",

@@ -12,9 +12,9 @@ from collections.abc import Iterable
 from functools import lru_cache
 
 from . import gf2
-from .complexes import Simplex, SimplicialComplex, make_simplex, per_complex
+from .complexes import Simplex, SimplicialComplex, make_simplex
 from .errors import InconsistencyError, NotFoundError, PreconditionError
-from .value import Value
+from .value import Value, per_complex
 
 __all__ = [
     "ChainData",

@@ -51,11 +51,11 @@ from .complexes import (
     MoveRecord,
     Simplex,
     SimplicialComplex,
-    WorkingComplex,
     collapse_free_face,
     contract_edge,
     remove_two_simplex,
 )
+from .engine import WorkingComplex
 from .errors import (
     CoveringTypeError,
     InconsistencyError,

@@ -19,30 +19,30 @@ the vertex's neighbours), then tested with one degree count and one
 traversal.  The check is computed once per complex and kept on it, so
 classify_surface and orientable, which both require a closed surface,
 read the report that check_closed_surface has already made.
+
+The check reads only the complex it is handed, and the bounds need no
+complex at all, so this module looks up complexes, homology and
+cohomology when pinch_and_fill and build_nine_vertex_m2 call into them:
+the bounds run this module alone.
 """
 
 from __future__ import annotations
 
 import math
 
-# only pinch_and_fill and build_nine_vertex_m2 use these two, and a layer
-# module loads on first use: the check and the bounds never load them
-from . import cohomology, homology
-from .complexes import (
-    Simplex,
-    SimplicialComplex,
-    build_complex,
-    identify_vertices,
-    make_simplex,
-    per_complex,
-)
+# layer modules, which load on first use (see the module docstring)
+from . import cohomology, complexes, homology
 from .errors import (
     DomainError,
     InconsistencyError,
     PreconditionError,
     shown,
 )
-from .value import Value
+from .value import Value, per_complex
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .complexes import Simplex, SimplicialComplex
 
 __all__ = [
     "SurfaceClass",
@@ -325,17 +325,17 @@ def pinch_and_fill(
     Betti numbers are asserted unchanged.
     """
     for label, anchor, role in ((w, v, "first"), (w2, v2, "second")):
-        if make_simplex((label, anchor)) not in complex_:
+        if complexes.make_simplex((label, anchor)) not in complex_:
             raise PreconditionError(
                 f"the {role} fill vertex {label!r} must be adjacent to {anchor!r}"
             )
-    if make_simplex((w, w2)) not in complex_:
+    if complexes.make_simplex((w, w2)) not in complex_:
         raise PreconditionError(f"fill vertices {w!r} and {w2!r} must span an edge")
     before = homology.betti_numbers(complex_)
-    merged, record = identify_vertices(complex_, v, v2)
+    merged, record = complexes.identify_vertices(complex_, v, v2)
     kept = record.simplices[0][0]
-    triangle = make_simplex((kept, w, w2))
-    filled = SimplicialComplex.from_simplices(
+    triangle = complexes.make_simplex((kept, w, w2))
+    filled = complexes.SimplicialComplex.from_simplices(
         list(merged.all_simplices())
         + [triangle, (triangle[0], triangle[1]), (triangle[0], triangle[2]), (triangle[1], triangle[2])]
     )
@@ -371,7 +371,7 @@ def build_nine_vertex_m2(triangulation: SimplicialComplex) -> SimplicialComplex:
     pairs = []
     for i, a in enumerate(degree_four):
         for b in degree_four[i + 1 :]:
-            if make_simplex((a, b)) in triangulation:
+            if complexes.make_simplex((a, b)) in triangulation:
                 continue
             if set(triangulation._adjacency[a]) & set(triangulation._adjacency[b]):
                 continue
@@ -388,7 +388,7 @@ def build_nine_vertex_m2(triangulation: SimplicialComplex) -> SimplicialComplex:
     others = [x for x in triangulation.vertices if x not in (v, v2)]
     for i, a in enumerate(others):
         for b in others[i + 1 :]:
-            if make_simplex((a, b)) not in triangulation:
+            if complexes.make_simplex((a, b)) not in triangulation:
                 raise PreconditionError(
                     f"the remaining 8 vertices must induce a complete graph; {a},{b} missing"
                 )
@@ -396,7 +396,7 @@ def build_nine_vertex_m2(triangulation: SimplicialComplex) -> SimplicialComplex:
     # a vertex's neighbours are exactly the vertices of its link
     for w in triangulation._adjacency[v]:
         for w2 in triangulation._adjacency[v2]:
-            if make_simplex((w, w2)) in triangulation:
+            if complexes.make_simplex((w, w2)) in triangulation:
                 fill = (w, w2)
                 break
         if fill:

@@ -1,6 +1,9 @@
-"""The base class of the package's immutable value types."""
+"""The base class of the package's immutable value types, and the memo
+that keeps a value's derived results on it."""
 
 from __future__ import annotations
+
+from functools import wraps
 
 
 class Value:
@@ -50,3 +53,29 @@ class Value:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable
+    from typing import TypeVar
+
+    V = TypeVar("V", bound=Value)
+    T = TypeVar("T")
+
+
+def per_complex(fn: Callable[[V], T]) -> Callable[[V], T]:
+    """Run fn once per value object: the result is kept in the immutable
+    value's own __dict__, as cached_property does, so it is freed with
+    the value, and an equal but distinct value computes its own.  The
+    package keeps the invariants of each complex this way."""
+    key = f"{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def once(value: V) -> T:
+        memo = value.__dict__
+        if key not in memo:
+            memo[key] = fn(value)
+        return memo[key]
+
+    return once

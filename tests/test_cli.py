@@ -3,6 +3,7 @@ the documented error mapping."""
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import subprocess
@@ -585,6 +586,40 @@ def test_module_entry_point(files):
     assert "covering_type: 7" in proc.stdout
 
 
+# every command, a failed check, the usage text and a usage error
+ENTRY_POINT_CASES = COMMANDS + [(("--help",), 0), (("bounds",), 2)]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    ENTRY_POINT_CASES,
+    ids=["-".join(a for a in argv if a != "{out}") for argv, _ in ENTRY_POINT_CASES],
+)
+def test_entry_point_matches_in_process_main(argv, expected, files, tmp_path, capsys):
+    """`python -m covertype` freezes the heap around the command; what it
+    prints, writes and exits with is what cli.main gives in-process,
+    with stdout a pipe or a file.  cli.main itself never freezes."""
+    argv = ["--machine", *command_argv(argv, files, tmp_path)]
+    out_file = tmp_path / "out.cplx"
+    frozen = gc.get_freeze_count()
+    code, out, err = run(capsys, *argv)
+    assert gc.get_freeze_count() == frozen
+    assert code == expected
+    written = out_file.read_bytes() if out_file.exists() else None
+    for to_file in (False, True):
+        out_file.unlink(missing_ok=True)
+        with open(tmp_path / "stdout", "w+b") as sink:
+            proc = subprocess.run(
+                [sys.executable, "-m", "covertype", *argv],
+                stdout=sink if to_file else subprocess.PIPE,
+                stderr=subprocess.PIPE,
+            )
+            sink.seek(0)
+            stdout = sink.read() if to_file else proc.stdout
+        assert (proc.returncode, stdout.decode(), proc.stderr.decode()) == (code, out, err)
+        assert (out_file.read_bytes() if out_file.exists() else None) == written
+
+
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "argv, expected",
@@ -632,3 +667,19 @@ def test_unwritable_stderr_keeps_the_exit_code(argv, expected, redirect, files, 
         stdout=subprocess.PIPE,
     )
     assert (proc.returncode, proc.stdout) == (expected, b"")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(("bounds", "--chi", "0"), 0), (("property-a", "torus_wedge_circle_9"), 1), (("--help",), 0)],
+    ids=["bounds", "property-a", "help"],
+)
+def test_closed_fd1_keeps_the_exit_code(argv, expected, files):
+    """With fd 1 closed Python has no sys.stdout: the command's own exit
+    code all the same, as under --quiet, and nothing on stderr."""
+    args = [str(files.get(a, a)) for a in argv]
+    proc = subprocess.run(
+        ["sh", "-c", '"$0" -m covertype --machine "$@" >&-', sys.executable, *args],
+        stderr=subprocess.PIPE,
+    )
+    assert (proc.returncode, proc.stderr) == (expected, b"")

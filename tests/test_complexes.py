@@ -16,8 +16,8 @@ from covertype.complexes import (
     IDENTIFICATION,
     MoveRecord,
     SimplicialComplex,
-    WorkingComplex,
 )
+from covertype.engine import WorkingComplex
 from covertype.errors import (
     InconsistencyError,
     MalformedInputError,

@@ -52,7 +52,9 @@ UNUSED_AT_RUN_TIME = COMPILER_MODULES + ("typing", "hashlib", "argparse", "gette
 # The benchmark's tracer wraps functions only in the covertype modules in
 # sys.modules after `from covertype import cli`, so every layer must be
 # there, even though none of them has run yet.
-LAYERS = ("gf2", "homology", "complexes", "cohomology", "surfaces", "reduction", "fileformat")
+LAYERS = (
+    "gf2", "homology", "complexes", "engine", "cohomology", "surfaces", "reduction", "fileformat"
+)
 
 # the modules each command runs: those it calls into and what they import
 RUNS = {
@@ -62,12 +64,13 @@ RUNS = {
         {"cohomology", "complexes", "fileformat", "gf2", "homology"},
     ),
     "surface": (["surface", "{torus}"], {"complexes", "fileformat", "surfaces"}),
-    "bounds-chi": (["bounds", "--chi", "0"], {"complexes", "surfaces"}),
-    "bounds-surface": (["bounds", "--surface", "M2"], {"complexes", "surfaces"}),
+    "bounds-chi": (["bounds", "--chi", "0"], {"surfaces"}),
+    "bounds-surface": (["bounds", "--surface", "M2"], {"surfaces"}),
+    # engine, the in-place move engine, runs only where simplices move
     "reduce": (["reduce", "{torus}", "{out}", "--surface", "M1"], set(LAYERS)),
     "construct-m2": (
         ["construct-m2", "{genus2}", "{out}"],
-        {"cohomology", "complexes", "fileformat", "gf2", "homology", "surfaces"},
+        {"cohomology", "complexes", "engine", "fileformat", "gf2", "homology", "surfaces"},
     ),
 }
 
