@@ -1,6 +1,7 @@
-"""`python -m covertype`: one CLI call, one process.
+"""`python -m covertype` and the `covertype` console script: one CLI
+call, one process.
 
-The heap is frozen twice (gc.freeze moves every tracked object to a
+`run` freezes the heap twice (gc.freeze moves every tracked object to a
 permanent generation that no collection visits).  After the import, it
 keeps the start-up heap (site, the standard library, cli) out of the
 collections the command triggers; after the command, it keeps the whole
@@ -15,7 +16,14 @@ import gc
 
 from .cli import main
 
-gc.freeze()
-code = main()
-gc.freeze()
-raise SystemExit(code)
+
+def run() -> int:
+    """Run the command on sys.argv and return its exit code."""
+    gc.freeze()
+    code = main()
+    gc.freeze()
+    return code
+
+
+if __name__ == "__main__":
+    raise SystemExit(run())

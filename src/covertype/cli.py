@@ -187,9 +187,9 @@ def cmd_reduce(args) -> tuple[int, list]:
         ("surface", surface.name),
         ("betti", trace.betti_steps[-1]),
         ("skeleton_f_vector", trace.initial_f),
-        ("excisions", counts.get("simplex-excision", 0)),
-        ("collapses", counts.get("collapse", 0)),
-        ("contractions", counts.get("edge-contraction", 0)),
+        ("excisions", counts.get(complexes.EXCISION, 0)),
+        ("collapses", counts.get(complexes.COLLAPSE, 0)),
+        ("contractions", counts.get(complexes.CONTRACTION, 0)),
         ("final_f_vector", certificate.f_vector),
         ("chi", certificate.chi),
         ("rho", certificate.rho),

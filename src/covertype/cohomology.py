@@ -41,9 +41,6 @@ class Cochain(Value):
     degree: int
     values: gf2.Gf2Vector
 
-    def __init__(self, degree: int, values: gf2.Gf2Vector) -> None:
-        vars(self).update(degree=degree, values=values)
-
 
 def coboundary_matrix(complex_: SimplicialComplex, n: int) -> gf2.Gf2Matrix:
     """Matrix of delta^n: C^n -> C^(n+1), the transpose of d_(n+1)."""
@@ -114,9 +111,6 @@ class PairingTensor(Value):
     b1: int
     b2: int
     entries: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def __init__(self, b1: int, b2: int, entries: tuple[tuple[tuple[int, ...], ...], ...]) -> None:
-        vars(self).update(b1=b1, b2=b2, entries=entries)
 
     def flattened(self) -> gf2.Gf2Matrix:
         """b1 x (b1*b2) matrix whose row i lists all pairings of the

@@ -99,9 +99,6 @@ class SimplicialComplex(Value):
 
     by_dim: tuple[tuple[Simplex, ...], ...]
 
-    def __init__(self, by_dim: tuple[tuple[Simplex, ...], ...]) -> None:
-        vars(self).update(by_dim=by_dim)
-
     @classmethod
     def from_simplices(cls, simplices: Iterable[Simplex]) -> "SimplicialComplex":
         """Group canonical simplices by dimension.
@@ -263,19 +260,7 @@ class MoveRecord(Value):
     simplices: tuple[Simplex, ...]
     before_f: tuple[int, ...]
     after_f: tuple[int, ...]
-    aux: tuple[Simplex, ...]
-
-    def __init__(
-        self,
-        kind: str,
-        simplices: tuple[Simplex, ...],
-        before_f: tuple[int, ...],
-        after_f: tuple[int, ...],
-        aux: tuple[Simplex, ...] = (),
-    ) -> None:
-        vars(self).update(
-            kind=kind, simplices=simplices, before_f=before_f, after_f=after_f, aux=aux
-        )
+    aux: tuple[Simplex, ...] = ()
 
 
 def _in_place(

@@ -53,18 +53,8 @@ class ComplexFile(Value):
     and, when read from a file, the sha256 of the bytes that were parsed."""
 
     maximal_simplices: tuple[tuple[str, ...], ...]
-    surface_name: str | None
-    sha256: str | None
-
-    def __init__(
-        self,
-        maximal_simplices: tuple[tuple[str, ...], ...],
-        surface_name: str | None = None,
-        sha256: str | None = None,
-    ) -> None:
-        vars(self).update(
-            maximal_simplices=maximal_simplices, surface_name=surface_name, sha256=sha256
-        )
+    surface_name: str | None = None
+    sha256: str | None = None
 
     def complex(self) -> SimplicialComplex:
         return build_complex(self.maximal_simplices)

@@ -8,7 +8,8 @@ pivot-dictionary reduction of persistent-homology software
 (Zomorodian-Carlsson 2005; PHAT, Bauer et al. 2017).  It reduces a
 matrix's rows in order, each carrying the set of rows it sums, and the
 matrix keeps the result, as it keeps its transpose, in its own
-__dict__, which does not point back: no reference cycle.  Every entry
+__dict__ through value.per_complex; neither points back at the matrix,
+so there is no reference cycle.  Every entry
 point reads a kept reduction, so a matrix is eliminated at most once:
 `rank` reads the side with fewer vectors and never back-substitutes;
 `kernel_basis`, `image_basis` and `solve` read the transpose's, the
@@ -24,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import PreconditionError
-from .value import Value
+from .value import Value, per_complex
 
 __all__ = [
     "Gf2Vector",
@@ -49,10 +50,10 @@ class Gf2Vector(Value):
     """Fixed-length GF(2) vector; bit i of ``bits`` is coordinate i."""
 
     length: int
-    bits: int
+    bits: int = 0
 
-    def __init__(self, length: int, bits: int = 0) -> None:
-        vars(self).update(length=length, bits=bits)
+    def _check(self) -> None:
+        length, bits = self.length, self.bits
         if length < 0:
             raise PreconditionError("vector length must be >= 0")
         if bits < 0 or bits >> length != 0:
@@ -107,8 +108,8 @@ class Gf2Matrix(Value):
     cols: int
     row_bits: tuple[int, ...]
 
-    def __init__(self, rows: int, cols: int, row_bits: tuple[int, ...]) -> None:
-        vars(self).update(rows=rows, cols=cols, row_bits=row_bits)
+    def _check(self) -> None:
+        rows, cols, row_bits = self.rows, self.cols, self.row_bits
         if rows < 0 or cols < 0:
             raise PreconditionError("matrix dimensions must be >= 0")
         if len(row_bits) != rows:
@@ -154,18 +155,17 @@ class Gf2Matrix(Value):
             bits |= ((r >> j) & 1) << i
         return Gf2Vector(self.rows, bits)
 
+    @per_complex
     def transpose(self) -> "Gf2Matrix":
-        memo = self.__dict__
-        if "_transpose" not in memo:
-            out = [0] * self.cols
-            for i, r in enumerate(self.row_bits):
-                while r:
-                    lsb = r & -r
-                    out[lsb.bit_length() - 1] |= 1 << i
-                    r ^= lsb
-            memo["_transpose"] = Gf2Matrix(self.cols, self.rows, tuple(out))
-        return memo["_transpose"]
+        out = [0] * self.cols
+        for i, r in enumerate(self.row_bits):
+            while r:
+                lsb = r & -r
+                out[lsb.bit_length() - 1] |= 1 << i
+                r ^= lsb
+        return Gf2Matrix(self.cols, self.rows, tuple(out))
 
+    @per_complex
     def _reduction(self) -> tuple[dict[int, int], list[int]]:
         """The echelon rows keyed by pivot, and the tags of the rows that
         reduced to zero, computed once and kept like the transpose.
@@ -177,25 +177,22 @@ class Gf2Matrix(Value):
         or, when no bit below cols is left, its tag is a dependency
         among the rows.  Stored rows are never rewritten.
         """
-        memo = self.__dict__
-        if "_reduced" not in memo:
-            cols = self.cols
-            pivots: dict[int, int] = {}
-            zeros = []
-            for i, bits in enumerate(self.row_bits):
-                bits |= 1 << (cols + i)
-                while True:
-                    p = (bits & -bits).bit_length() - 1
-                    row = pivots.get(p)
-                    if row is None:
-                        break
-                    bits ^= row
-                if p < cols:
-                    pivots[p] = bits
-                else:
-                    zeros.append(bits >> cols)
-            memo["_reduced"] = (pivots, zeros)
-        return memo["_reduced"]
+        cols = self.cols
+        pivots: dict[int, int] = {}
+        zeros = []
+        for i, bits in enumerate(self.row_bits):
+            bits |= 1 << (cols + i)
+            while True:
+                p = (bits & -bits).bit_length() - 1
+                row = pivots.get(p)
+                if row is None:
+                    break
+                bits ^= row
+            if p < cols:
+                pivots[p] = bits
+            else:
+                zeros.append(bits >> cols)
+        return pivots, zeros
 
     def __matmul__(self, other):
         if isinstance(other, Gf2Vector):

@@ -152,11 +152,6 @@ class HomologyProfile(Value):
     betti: tuple[int, ...]
     cycle_representatives: tuple[tuple[Chain, ...], ...]
 
-    def __init__(
-        self, betti: tuple[int, ...], cycle_representatives: tuple[tuple[Chain, ...], ...]
-    ) -> None:
-        vars(self).update(betti=betti, cycle_representatives=cycle_representatives)
-
 
 def homology_profile(complex_: SimplicialComplex) -> HomologyProfile:
     betti = betti_numbers(complex_)

@@ -99,22 +99,8 @@ class ReductionTrace(Value):
     betti_steps: tuple[tuple[int, ...], ...]
     property_a_final: bool | None
 
-    def __init__(
-        self,
-        initial_f: tuple[int, ...],
-        final_f: tuple[int, ...],
-        moves: tuple[MoveRecord, ...],
-        betti_steps: tuple[tuple[int, ...], ...],
-        property_a_final: bool | None,
-    ) -> None:
-        vars(self).update(
-            initial_f=initial_f,
-            final_f=final_f,
-            moves=moves,
-            betti_steps=betti_steps,
-            property_a_final=property_a_final,
-        )
-        if len(betti_steps) != len(moves) + 1:
+    def _check(self) -> None:
+        if len(self.betti_steps) != len(self.moves) + 1:
             raise InconsistencyError("trace needs one Betti entry per step plus the initial one")
 
     def move_counts(self) -> dict[str, int]:
@@ -323,10 +309,6 @@ class BoundCertificate(Value):
     chi: int
     f_vector: tuple[int, int, int]
     rho: int
-
-    def __init__(self, chi: int, f_vector: tuple[int, int, int], rho: int) -> None:
-        vars(self).update(chi=chi, f_vector=f_vector, rho=rho)
-        self._check()
 
     @property
     def triangles_cover_edges(self) -> bool:

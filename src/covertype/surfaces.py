@@ -65,11 +65,10 @@ class SurfaceClass(Value):
     orientable: bool
     genus: int
 
-    def __init__(self, orientable: bool, genus: int) -> None:
-        vars(self).update(orientable=orientable, genus=genus)
-        if genus < 0:
+    def _check(self) -> None:
+        if self.genus < 0:
             raise DomainError("genus must be >= 0")
-        if not orientable and genus == 0:
+        if not self.orientable and self.genus == 0:
             raise DomainError("a non-orientable surface has genus >= 1")
 
     @property
@@ -124,32 +123,10 @@ class SurfaceCheckReport(Value):
     every_edge_in_two_triangles: bool
     strongly_connected: bool
     all_links_single_circles: bool
-    bad_maximal_simplices: tuple[Simplex, ...]
-    bad_edges: tuple[tuple[Simplex, int], ...]
-    bad_vertices: tuple[str, ...]
-    component_count: int
-
-    def __init__(
-        self,
-        pure_two_dimensional: bool,
-        every_edge_in_two_triangles: bool,
-        strongly_connected: bool,
-        all_links_single_circles: bool,
-        bad_maximal_simplices: tuple[Simplex, ...] = (),
-        bad_edges: tuple[tuple[Simplex, int], ...] = (),
-        bad_vertices: tuple[str, ...] = (),
-        component_count: int = 0,
-    ) -> None:
-        vars(self).update(
-            pure_two_dimensional=pure_two_dimensional,
-            every_edge_in_two_triangles=every_edge_in_two_triangles,
-            strongly_connected=strongly_connected,
-            all_links_single_circles=all_links_single_circles,
-            bad_maximal_simplices=bad_maximal_simplices,
-            bad_edges=bad_edges,
-            bad_vertices=bad_vertices,
-            component_count=component_count,
-        )
+    bad_maximal_simplices: tuple[Simplex, ...] = ()
+    bad_edges: tuple[tuple[Simplex, int], ...] = ()
+    bad_vertices: tuple[str, ...] = ()
+    component_count: int = 0
 
     @property
     def verdict(self) -> bool:

@@ -13,10 +13,14 @@ class Value:
     over the fields in declaration order, ``==`` against an instance of
     any other class returns NotImplemented, the repr reads
     ``Name(field=value, ...)``, and assigning or deleting an attribute
-    raises AttributeError.  Each subclass writes a plain __init__ that
-    stores its fields with ``vars(self).update(...)`` and then checks
-    them.  There are no __slots__: cached_property and per_complex keep
-    their values in the instance __dict__, beside the fields and
+    raises AttributeError.  A subclass states each field once, as an
+    annotation line, and a field's default is the value on that line
+    (``bits: int = 0``).  The one __init__ binds positional and keyword
+    arguments to the fields as a function call binds its parameters
+    (a missing, unknown, duplicated or extra argument is a TypeError),
+    stores them, and then calls ``_check``, where a subclass checks its
+    fields.  There are no __slots__: cached_property and per_complex
+    keep their values in the instance __dict__, beside the fields and
     outside equality and hashing.
 
     The package does not use the standard dataclass decorator because
@@ -26,11 +30,40 @@ class Value:
     """
 
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         # a subclass's fields follow those it inherits
-        cls._fields = cls._fields + tuple(cls.__annotations__)
+        own = tuple(cls.__annotations__)
+        cls._fields = cls._fields + own
+        body = vars(cls)
+        cls._defaults = {**cls._defaults, **{name: body[name] for name in own if name in body}}
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{self._name()} takes {len(fields)} arguments but {len(args)} were given"
+            )
+        values = dict(zip(fields, args))
+        for name in kwargs:
+            if name not in fields:
+                raise TypeError(f"{self._name()} got an unexpected keyword argument {name!r}")
+            if name in values:
+                raise TypeError(f"{self._name()} got multiple values for argument {name!r}")
+        values = {**self._defaults, **values, **kwargs}
+        if len(values) < len(fields):
+            missing = ", ".join(repr(name) for name in fields if name not in values)
+            raise TypeError(f"{self._name()} missing required arguments: {missing}")
+        vars(self).update(values)
+        self._check()
+
+    def _check(self) -> None:
+        """Raise if the fields break the class's invariants."""
+
+    def _name(self) -> str:
+        return f"{self.__class__.__qualname__}()"
 
     def _values(self) -> tuple:
         d = self.__dict__
@@ -68,7 +101,8 @@ def per_complex(fn: Callable[[V], T]) -> Callable[[V], T]:
     """Run fn once per value object: the result is kept in the immutable
     value's own __dict__, as cached_property does, so it is freed with
     the value, and an equal but distinct value computes its own.  The
-    package keeps the invariants of each complex this way."""
+    package keeps the invariants of each complex, and the transpose and
+    the reduction of each GF(2) matrix, this way."""
     key = f"{fn.__module__}.{fn.__qualname__}"
 
     @wraps(fn)

@@ -67,6 +67,16 @@ def subdivide_edge(complex_, edge, new_label):
     return ct.build_complex(faces)
 
 
+def flip_edge(complex_, edge):
+    """The 2-2 move on a surface: the two triangles on the edge ab,
+    abc and abd, become acd and bcd; c and d must not be adjacent."""
+    a, b = ct.make_simplex(edge)
+    pair = complex_._facet_cofaces[(a, b)]
+    (c,), (d,) = (set(t) - {a, b} for t in pair)
+    faces = [s for s in _maximal(complex_) if tuple(s) not in pair]
+    return ct.build_complex(faces + [[a, c, d], [b, c, d]])
+
+
 def glue_tetrahedron(complex_, triangle, new_label):
     """Cone a new vertex over a triangle, solid: adds one 3-simplex."""
     t = ct.make_simplex(triangle)

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -279,6 +280,17 @@ def test_construct_m2_rejects_other_surfaces(files, tmp_path, capsys):
     assert "genus-2" in err
 
 
+def test_construct_m2_needs_the_degree_four_pair(tmp_path, capsys):
+    from helpers import flip_edge
+
+    flipped = tmp_path / "flipped.cplx"
+    ct.write_complex_file(flip_edge(ct.load_bundled("genus2_10"), ("a", "b")), flipped)
+    code, out, err = run(capsys, "construct-m2", flipped, tmp_path / "m2.cplx")
+    assert (code, out) == (1, "")
+    assert err == "error: no non-adjacent pair of degree-4 vertices with disjoint links\n"
+    assert not (tmp_path / "m2.cplx").exists()
+
+
 def test_bounds_command(capsys):
     code, out, _ = run(capsys, "--machine", "bounds", "--surface", "M2")
     assert code == 0
@@ -338,6 +350,23 @@ def test_usage_error_is_one_line(argv, files, tmp_path, capsys):
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "out.cplx").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("homology", "--", "-t.cplx"), ("--", "homology", "-t.cplx")],
+    ids=["after-command", "before-command"],
+)
+def test_double_dash_ends_the_options(argv, files, tmp_path, monkeypatch, capsys):
+    """After `--` a word that starts with "-" is a command or a path."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-t.cplx").write_bytes(files["torus_7"].read_bytes())
+    code, out, err = run(capsys, "--machine", "homology", "-t.cplx")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown option '-t.cplx'")
+    code, out, err = run(capsys, "--machine", *argv)
+    assert (code, err) == (0, "")
+    assert machine(out)["betti"] == "1 2 1"
 
 
 @pytest.mark.parametrize(
@@ -584,6 +613,48 @@ def test_module_entry_point(files):
     )
     assert proc.returncode == 0
     assert "covering_type: 7" in proc.stdout
+
+
+# runs in a `python -S` process: what importing the entry-point module
+# prints, then what the function named on the [project.scripts] line
+# prints and returns for `bounds --chi 0`, and whether the heap was frozen
+SCRIPT_PROBE = """
+import gc, importlib, sys
+import covertype.__main__
+print("imported, frozen:", gc.get_freeze_count() > 0)
+module, function = sys.argv[1].split(":")
+entry = getattr(importlib.import_module(module), function)
+sys.argv = ["covertype", "--machine", "bounds", "--chi", "0"]
+code = entry()
+print("code:", code, "frozen:", gc.get_freeze_count() > 0)
+"""
+
+
+def test_console_script_freezes_the_heap():
+    """The installed `covertype` script runs the function that
+    `python -m covertype` runs, which freezes the heap around the
+    command; importing its module alone runs nothing."""
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    # read as text: Python 3.10 has no tomllib
+    lines = pyproject.read_text("utf-8").splitlines()
+    script = lines[lines.index("[project.scripts]") + 1]
+    name, _, target = script.partition(" = ")
+    assert name == "covertype"
+    src = Path(ct.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", SCRIPT_PROBE, target.strip('"')],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "imported, frozen: False",
+        "command: bounds",
+        "chi: 0",
+        "rho: 7",
+        "code: 0 frozen: True",
+    ]
 
 
 # every command, a failed check, the usage text and a usage error

@@ -22,7 +22,7 @@ from covertype.surfaces import (
 )
 from covertype.errors import DomainError, InconsistencyError, PreconditionError
 
-from helpers import SURFACE_FILES, subdivide_triangle
+from helpers import SURFACE_FILES, flip_edge, subdivide_triangle
 from oracles import betti_oracle, link, rho_scan, validate_complex
 
 
@@ -111,6 +111,13 @@ def test_check_rejects_open_disk():
     report = check_closed_surface(k)
     assert not report.verdict
     assert len(report.bad_edges) == 4  # the boundary edges
+
+
+def test_empty_complex_fails_every_condition():
+    report = check_closed_surface(ct.SimplicialComplex(()))
+    assert report == ct.SurfaceCheckReport(False, False, False, False)
+    assert not report.verdict
+    assert report.component_count == 0
 
 
 def test_m2_homotopy_model_is_not_a_surface(m2_homotopy):
@@ -262,3 +269,14 @@ def test_build_nine_vertex_m2_needs_ten_vertices(genus2):
     eleven = subdivide_triangle(genus2, genus2.simplices(2)[0], "z")
     with pytest.raises(PreconditionError):
         build_nine_vertex_m2(eleven)
+
+
+def test_build_nine_vertex_m2_needs_the_degree_four_pair(genus2):
+    # the flip of ab keeps a 10-vertex genus-2 surface, but its new edge
+    # ei takes i, one of the two degree-4 vertices, up to degree 5
+    flipped = flip_edge(genus2, ("a", "b"))
+    assert ("e", "i") in flipped and ("a", "b") not in flipped
+    assert ct.classify_surface(flipped) == SurfaceClass(True, 2)
+    assert len(flipped.vertices) == 10
+    with pytest.raises(PreconditionError, match="no non-adjacent pair of degree-4 vertices"):
+        build_nine_vertex_m2(flipped)

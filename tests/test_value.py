@@ -71,6 +71,32 @@ def test_fields_cannot_be_assigned_or_deleted(name):
     assert a == make()
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_keyword_construction_equals_positional(name):
+    make, _ = VALUES[name]
+    a = make()
+    cls, fields, args = type(a), a._fields, a._values()
+    assert cls(*args) == cls(**dict(zip(fields, args))) == a
+    # the last field by keyword, the rest by position
+    assert cls(*args[:-1], **{fields[-1]: args[-1]}) == a
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_arguments_bind_as_in_a_call(name):
+    make, _ = VALUES[name]
+    a = make()
+    cls, fields, args = type(a), a._fields, a._values()
+    first = fields[0]
+    with pytest.raises(TypeError, match=f"missing required arguments: '{first}'"):
+        cls(**dict(zip(fields[1:], args[1:])))
+    with pytest.raises(TypeError, match="unexpected keyword argument 'not_a_field'"):
+        cls(*args, not_a_field=1)
+    with pytest.raises(TypeError, match=f"multiple values for argument '{first}'"):
+        cls(*args, **{first: args[0]})
+    with pytest.raises(TypeError, match=f"takes {len(fields)} arguments but {len(fields) + 1}"):
+        cls(*args, None)
+
+
 def test_repr_lists_the_fields_in_declaration_order():
     assert repr(ct.Gf2Vector(4, 10)) == "Gf2Vector(length=4, bits=10)"
     assert repr(ct.SurfaceClass(True, 1)) == "SurfaceClass(orientable=True, genus=1)"
