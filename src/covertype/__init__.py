@@ -127,6 +127,7 @@ _EXPORTS = {
         "pinch_and_fill",
         "rho",
         "surface_from_name",
+        "surfaces_with_betti",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

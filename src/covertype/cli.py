@@ -111,19 +111,16 @@ def _surface_bounds(surface: surfaces.SurfaceClass) -> list:
 
 def _infer_surface(complex_: complexes.SimplicialComplex) -> surfaces.SurfaceClass:
     betti = homology.betti_numbers(complex_)
-    padded = betti + (0,) * max(0, 3 - len(betti))
-    b1, b2 = padded[1], padded[2]
-    if padded[0] != 1 or b2 != 1 or any(b != 0 for b in padded[3:]):
+    candidates = surfaces.surfaces_with_betti(betti)
+    if not candidates:
         raise MalformedInputError(
             f"Betti numbers {betti} match no closed surface; pass --surface explicitly"
         )
-    if b1 == 0:
-        return surfaces.SurfaceClass(True, 0)
-    if b1 % 2 == 1:
-        return surfaces.SurfaceClass(False, b1)
-    raise MalformedInputError(
-        f"b1 = {b1} fits both an orientable and a non-orientable surface; pass --surface"
-    )
+    if len(candidates) > 1:
+        raise MalformedInputError(
+            f"b1 = {betti[1]} fits both an orientable and a non-orientable surface; pass --surface"
+        )
+    return candidates[0]
 
 
 def cmd_homology(args) -> tuple[int, list]:

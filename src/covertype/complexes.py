@@ -23,7 +23,6 @@ value.per_complex.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property
 
@@ -203,33 +202,6 @@ class SimplicialComplex(Value):
         if (v,) not in self:
             raise NotFoundError(f"vertex {v!r} is not in the complex")
         return len(self._adjacency[v])
-
-    def strongly_connected_components(self) -> tuple[tuple[Simplex, ...], ...]:
-        """Partition of the 2-simplices into classes connected through
-        shared edges, each class sorted, classes ordered by first member."""
-        tris = self.simplices(2)
-        if not tris:
-            return ()
-        visited: set[Simplex] = set()
-        comps: list[tuple[Simplex, ...]] = []
-        for start in tris:
-            if start in visited:
-                continue
-            comp = []
-            queue = deque([start])
-            visited.add(start)
-            while queue:
-                t = queue.popleft()
-                comp.append(t)
-                for i in range(3):
-                    edge = t[:i] + t[i + 1 :]
-                    for other in self._facet_cofaces[edge]:
-                        if len(other) == 3 and other not in visited:
-                            visited.add(other)
-                            queue.append(other)
-            comps.append(tuple(sorted(comp)))
-        comps.sort()
-        return tuple(comps)
 
 
 def build_complex(maximal_simplices: Iterable[Iterable[str]]) -> SimplicialComplex:

@@ -70,7 +70,7 @@ from .homology import (
     homology_basis,
     surplus_cycle,
 )
-from .surfaces import SurfaceClass, rho
+from .surfaces import SurfaceClass, rho, surfaces_with_betti
 from .value import Value
 
 __all__ = [
@@ -354,10 +354,9 @@ def reduce_to_certificate(
     """
     stage = "homology-check"
     try:
-        expected = (1, 2 - surface.chi, 1)
         actual = betti_numbers(complex_)
-        padded = actual + (0,) * max(0, 3 - len(actual))
-        if padded[:3] != expected or any(b != 0 for b in padded[3:]):
+        if surface not in surfaces_with_betti(actual):
+            expected = (1, 2 - surface.chi, 1)
             raise PreconditionError(
                 f"Betti numbers {actual} do not match surface {surface.name} (expected {expected})"
             )

@@ -11,14 +11,14 @@ every closed surface except orientable genus 2, where a 9-vertex
 complex homotopy equivalent to the surface exists even though no
 9-vertex triangulation does; build_nine_vertex_m2 constructs it.
 
-check_closed_surface makes one sweep over the simplices, linear in the
-size of the complex: the maximal simplices and the triangle count of
-each edge come from the codimension-1 coface table, and each vertex
-link is assembled from the triangles on the vertex (its vertices are
-the vertex's neighbours), then tested with one degree count and one
-traversal.  The check is computed once per complex and kept on it, so
-classify_surface and orientable, which both require a closed surface,
-read the report that check_closed_surface has already made.
+check_closed_surface is linear in the size of the complex: the maximal
+simplices and the triangle count of each edge come from the
+codimension-1 coface table, each vertex link is assembled from the
+triangles on the vertex and tested with one degree count and one
+traversal, and one walk over the triangles across their shared edges
+counts the components and orients the triangles coherently if it can.
+The walk and the check are kept on the complex, so orientable and
+classify_surface, which require a closed surface, walk nothing again.
 
 The check reads only the complex it is handed, and the bounds need no
 complex at all, so this module looks up complexes, homology and
@@ -48,6 +48,7 @@ __all__ = [
     "SurfaceClass",
     "SurfaceCheckReport",
     "surface_from_name",
+    "surfaces_with_betti",
     "check_closed_surface",
     "orientable",
     "classify_surface",
@@ -115,6 +116,20 @@ def surface_from_name(name: str) -> SurfaceClass:
     raise DomainError(f"unknown surface name {shown(name)}")
 
 
+def surfaces_with_betti(betti: tuple[int, ...]) -> tuple[SurfaceClass, ...]:
+    """The closed surfaces with these mod-2 Betti numbers, which must
+    read (1, b1, 1) and then zeros: the sphere for b1 = 0, N_b1 for an
+    odd b1, and both M_(b1/2) and N_b1 for an even b1 > 0."""
+    b0, b1, b2, *higher = betti + (0,) * max(0, 3 - len(betti))
+    if (b0, b2) != (1, 1) or any(higher):
+        return ()
+    if b1 == 0:
+        return (SurfaceClass(True, 0),)
+    if b1 % 2 == 1:
+        return (SurfaceClass(False, b1),)
+    return (SurfaceClass(True, b1 // 2), SurfaceClass(False, b1))
+
+
 class SurfaceCheckReport(Value):
     """Outcome of the four closed-surface conditions, with witnesses
     for whichever ones fail."""
@@ -166,9 +181,45 @@ def _link_is_single_circle(
 
 
 @per_complex
+def _triangle_walk(complex_: SimplicialComplex) -> tuple[int, bool]:
+    """One walk over the triangles across the edges they share: the
+    number of its components, and whether the triangles can be oriented
+    to induce opposite directions on every shared edge.  A conflict
+    makes that flag False, and the walk goes on counting."""
+    cofaces = complex_._facet_cofaces
+    # 1 for a triangle oriented against its ascending order, else 0
+    flipped: dict[Simplex, int] = {}
+    components = 0
+    coherent = True
+    for start in complex_.simplices(2):
+        if start in flipped:
+            continue
+        components += 1
+        flipped[start] = 0
+        stack = [start]
+        while stack:
+            t = stack.pop()
+            a, b, c = t
+            # the ascending orientation (a,b,c) runs a->b, b->c, c->a:
+            # only its edge (a, c) runs against the ascending order
+            for edge, against in (((a, b), 0), ((b, c), 0), ((a, c), 1)):
+                for other in cofaces[edge]:
+                    if other == t:
+                        continue
+                    needed = flipped[t] ^ against ^ (edge == (other[0], other[2])) ^ 1
+                    side = flipped.get(other)
+                    if side is None:
+                        flipped[other] = needed
+                        stack.append(other)
+                    elif side != needed:
+                        coherent = False
+    return components, coherent
+
+
+@per_complex
 def check_closed_surface(complex_: SimplicialComplex) -> SurfaceCheckReport:
     """Check the four closed-surface conditions, with witnesses for
-    whichever ones fail, in one sweep over the simplices."""
+    whichever ones fail."""
     if complex_.is_empty:
         return SurfaceCheckReport(False, False, False, False)
     cofaces = complex_._facet_cofaces
@@ -180,8 +231,7 @@ def check_closed_surface(complex_: SimplicialComplex) -> SurfaceCheckReport:
         if c != 2:
             bad_edges.append((e, c))
     two_tris = complex_.dim >= 1 and not bad_edges and bool(complex_.simplices(1))
-    comps = complex_.strongly_connected_components()
-    connected = len(comps) == 1
+    components = _triangle_walk(complex_)[0]
     link_edges: dict[str, list[tuple[str, str]]] = {v: [] for v in complex_.vertices}
     for a, b, c in complex_.simplices(2):
         link_edges[a].append((b, c))
@@ -197,48 +247,21 @@ def check_closed_surface(complex_: SimplicialComplex) -> SurfaceCheckReport:
     return SurfaceCheckReport(
         pure_two_dimensional=pure,
         every_edge_in_two_triangles=two_tris,
-        strongly_connected=connected,
+        strongly_connected=components == 1,
         all_links_single_circles=not bad_vertices,
         bad_maximal_simplices=bad_max,
         bad_edges=tuple(bad_edges),
         bad_vertices=tuple(bad_vertices),
-        component_count=len(comps),
+        component_count=components,
     )
 
 
 def orientable(complex_: SimplicialComplex) -> bool:
-    """Decide orientability of a verified closed surface by propagating
-    coherent triangle orientations across shared edges."""
+    """Decide orientability of a verified closed surface: can the
+    triangles be oriented to agree across every shared edge?"""
     if not check_closed_surface(complex_).verdict:
         raise PreconditionError("orientability is defined here only for closed surfaces")
-    tris = complex_.simplices(2)
-    position = {t: i for i, t in enumerate(tris)}
-
-    def edge_parity(t: Simplex, e: Simplex) -> int:
-        # in the ascending orientation (v0,v1,v2) the induced directed
-        # edges are v0->v1, v1->v2, v2->v0; the last one runs against
-        # the ascending order of its endpoints
-        return 1 if e == (t[0], t[2]) else 0
-
-    orientation = [None] * len(tris)
-    orientation[0] = 0
-    queue = [0]
-    while queue:
-        i = queue.pop()
-        t = tris[i]
-        for k in range(3):
-            e = t[:k] + t[k + 1 :]
-            for other in complex_._facet_cofaces[e]:
-                if other == t:
-                    continue
-                j = position[other]
-                needed = orientation[i] ^ edge_parity(t, e) ^ edge_parity(other, e) ^ 1
-                if orientation[j] is None:
-                    orientation[j] = needed
-                    queue.append(j)
-                elif orientation[j] != needed:
-                    return False
-    return True
+    return _triangle_walk(complex_)[1]
 
 
 def classify_surface(complex_: SimplicialComplex) -> SurfaceClass:

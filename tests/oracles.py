@@ -284,20 +284,37 @@ def closed_surface_reference(complex_):
         if c != 2:
             bad_edges.append((e, c))
     two_tris = complex_.dim >= 1 and not bad_edges and bool(complex_.simplices(1))
-    comps = complex_.strongly_connected_components()
+    components = triangle_components_reference(complex_)
     bad_vertices = tuple(
         v for v in complex_.vertices if not _link_is_circle_reference(link(complex_, v))
     )
     return SurfaceCheckReport(
         pure_two_dimensional=pure,
         every_edge_in_two_triangles=two_tris,
-        strongly_connected=len(comps) == 1,
+        strongly_connected=components == 1,
         all_links_single_circles=not bad_vertices,
         bad_maximal_simplices=bad_max,
         bad_edges=tuple(bad_edges),
         bad_vertices=bad_vertices,
-        component_count=len(comps),
+        component_count=components,
     )
+
+
+def triangle_components_reference(complex_):
+    """Number of classes of triangles joined by chains of triangles
+    that share two vertices: a union-find over every pair of triangles."""
+    triangles = complex_.simplices(2)
+    parent = list(range(len(triangles)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in itertools.combinations(range(len(triangles)), 2):
+        if len(set(triangles[i]) & set(triangles[j])) == 2:
+            parent[root(i)] = root(j)
+    return sum(1 for i, up in enumerate(parent) if i == up)
 
 
 def _link_is_circle_reference(link):

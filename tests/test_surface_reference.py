@@ -1,8 +1,9 @@
-"""The one-sweep closed-surface check against the link-by-link reference
-in oracles.py: every SurfaceCheckReport field must agree, witnesses in
-the same order, on random 2- and 3-complexes and on closed surfaces
-spoiled in the ways the check must notice (flaps, glued tetrahedra,
-wedges, pinches, punctures, dangling edges, isolated vertices)."""
+"""The closed-surface check against the link-by-link reference in
+oracles.py: every SurfaceCheckReport field must agree, witnesses in the
+same order, on random 2- and 3-complexes and on closed surfaces spoiled
+in the ways the check must notice (flaps, glued tetrahedra, wedges,
+pinches, punctures, dangling edges, isolated vertices).  On each closed
+surface, orientability is checked against the cup squares of H^1."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covertype as ct
+from covertype.cohomology import pairing_tensor
 from covertype.errors import PreconditionError
 from covertype.surfaces import check_closed_surface, classify_surface, orientable
 from helpers import (
@@ -121,6 +123,10 @@ def _agrees(k):
     assert report == closed_surface_reference(k)
     if report.verdict:
         assert classify_surface(k).orientable is orientable(k)
+        # Wu's formula on a closed surface: a cup a = w1 cup a for every
+        # class a, so every square vanishes exactly when w1 = 0
+        entries = pairing_tensor(k).entries
+        assert orientable(k) is all(not z for i, row in enumerate(entries) for z in row[i])
     else:
         with pytest.raises(PreconditionError):
             classify_surface(k)

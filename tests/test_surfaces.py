@@ -8,6 +8,7 @@ import itertools
 import pytest
 
 import covertype as ct
+from covertype import surfaces
 from covertype.surfaces import (
     SurfaceClass,
     build_nine_vertex_m2,
@@ -19,8 +20,10 @@ from covertype.surfaces import (
     pinch_and_fill,
     rho,
     surface_from_name,
+    surfaces_with_betti,
 )
 from covertype.errors import DomainError, InconsistencyError, PreconditionError
+from covertype.value import per_complex
 
 from helpers import SURFACE_FILES, flip_edge, subdivide_triangle
 from oracles import betti_oracle, link, rho_scan, validate_complex
@@ -132,6 +135,54 @@ def test_m2_homotopy_model_is_not_a_surface(m2_homotopy):
 def test_orientable_requires_a_closed_surface(side_sphere):
     with pytest.raises(PreconditionError):
         orientable(side_sphere)
+
+
+def test_check_and_classify_walk_the_triangles_once(monkeypatch):
+    walk = surfaces._triangle_walk.__wrapped__
+    walks = []
+
+    def counting(k):
+        walks.append(k)
+        return walk(k)
+
+    monkeypatch.setattr(surfaces, "_triangle_walk", per_complex(counting))
+    # parsed afresh: load_bundled keeps the complex it has checked
+    k = ct.parse_complex_text(ct.bundled_text("klein_bottle_8")).complex()
+    assert check_closed_surface(k).component_count == 1
+    assert classify_surface(k) == SurfaceClass(False, 2)
+    assert not orientable(k)
+    assert walks == [k]
+
+
+@pytest.mark.parametrize(
+    "name,message",
+    [
+        ("sphere_4", "no non-orientable closed surface has chi = 2"),
+        ("projective_plane_6", "no orientable closed surface has chi = 1"),
+    ],
+)
+def test_classify_refuses_a_chi_that_contradicts_orientability(name, message, monkeypatch):
+    k = ct.load_bundled(name)  # loaded, and so classified, before the answer is flipped
+    right = orientable(k)
+    monkeypatch.setattr(surfaces, "orientable", lambda _: not right)
+    with pytest.raises(InconsistencyError, match=f"^{message}$"):
+        classify_surface(k)
+
+
+@pytest.mark.parametrize(
+    "betti,expected",
+    [
+        ((1, 0, 1), (SurfaceClass(True, 0),)),
+        ((1, 3, 1), (SurfaceClass(False, 3),)),
+        ((1, 4, 1, 0), (SurfaceClass(True, 2), SurfaceClass(False, 4))),
+        ((1, 1), ()),  # the circle
+        ((1, 2, 1, 1), ()),
+        ((2, 0, 1), ()),
+        ((), ()),
+    ],
+)
+def test_surfaces_with_betti(betti, expected):
+    assert surfaces_with_betti(betti) == expected
 
 
 def test_subdivision_preserves_the_class(torus):
