@@ -18,7 +18,7 @@ from __future__ import annotations
 from . import gf2
 from .complexes import SimplicialComplex
 from .errors import PreconditionError
-from .homology import chain_data, chain_vector, homology_basis
+from .homology import chain_data, homology_basis
 from .value import Value, per_complex
 
 __all__ = [
@@ -134,7 +134,9 @@ def pairing_tensor(complex_: SimplicialComplex) -> PairingTensor:
     whose front edge alpha_i and back edge alpha_j take to 1."""
     data = chain_data(complex_)
     classes = h1_cocycle_basis(complex_)
-    cycles = [chain_vector(data, 2, z).bits for z in homology_basis(complex_, 2)]
+    # the representatives are the complex's own triangles: read them
+    # into bits through the index, without checking their labels again
+    cycles = [sum(1 << data.index[2][t] for t in z) for z in homology_basis(complex_, 2)]
     front, back = _cup_table(complex_)
     fronts = [_triangles(front, a) for a in classes]
     backs = [_triangles(back, b) for b in classes]

@@ -158,17 +158,21 @@ class SimplicialComplex(Value):
         return SimplicialComplex(self.by_dim[: n + 1])
 
     @cached_property
-    def _facet_cofaces(self) -> dict[Simplex, tuple[Simplex, ...]]:
+    def _facet_cofaces(self) -> dict[Simplex, list[Simplex]]:
         """Codimension-1 cofaces of every simplex, the one incidence
         table of the complex; its keys are the simplices.  Each list is
         filled from one dimension group, in its canonical order, so it
-        comes out sorted."""
+        comes out sorted.  The lists are the table's own: readers do
+        not change them."""
         cof: dict[Simplex, list[Simplex]] = {s: [] for s in self.all_simplices()}
-        for group in self.by_dim[1:]:
+        for n, group in enumerate(self.by_dim[1:], 1):
             for s in group:
-                for i in range(len(s)):
-                    cof[s[:i] + s[i + 1 :]].append(s)
-        return {s: tuple(v) for s, v in cof.items()}
+                try:
+                    for f in itertools.combinations(s, n):
+                        cof[f].append(s)
+                except KeyError:
+                    raise missing_facet(s, f) from None
+        return cof
 
     def maximal_simplices(self) -> tuple[Simplex, ...]:
         """The simplices with no codimension-1 coface, which in a
@@ -204,19 +208,34 @@ class SimplicialComplex(Value):
         return len(self._adjacency[v])
 
 
+def missing_facet(simplex: Simplex, facet: Simplex) -> MalformedInputError:
+    """The error for a complex that lacks a facet of one of its simplices."""
+    return MalformedInputError(
+        f"the complex is not closed under faces: {simplex} is in it but its facet {facet} is not"
+    )
+
+
 def build_complex(maximal_simplices: Iterable[Iterable[str]]) -> SimplicialComplex:
-    """Downward closure of the given simplices."""
-    closure: set[Simplex] = set()
+    """Downward closure of the given simplices, generated one dimension
+    at a time: the vertices are the labels, and the faces with k
+    vertices are the k-subsets of the simplices with at least k."""
     checked: set[str] = set()  # each distinct label is checked once
+    simplices = []
     for raw in maximal_simplices:
         labels = list(raw)
         for v in labels:
             if not (isinstance(v, str) and v in checked):
                 checked.add(check_label(v))
-        s = _sorted_simplex(labels)
-        for k in range(1, len(s) + 1):
-            closure.update(itertools.combinations(s, k))
-    return SimplicialComplex.from_simplices(closure)
+        simplices.append(_sorted_simplex(labels))
+    if not checked:
+        return SimplicialComplex(())
+    by_dim = [tuple((v,) for v in sorted(checked))]
+    for k in range(2, max(map(len, simplices)) + 1):
+        faces = itertools.chain.from_iterable(
+            itertools.combinations(s, k) for s in simplices if len(s) >= k
+        )
+        by_dim.append(tuple(sorted(set(faces))))
+    return SimplicialComplex(tuple(by_dim))
 
 
 # ----------------------------------------------------------------------

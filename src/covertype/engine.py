@@ -58,8 +58,9 @@ class WorkingComplex:
 
     def __init__(self, complex_: SimplicialComplex):
         self._groups = [set(group) for group in complex_.by_dim]
-        self._cofaces = {s: set(cof) for s, cof in complex_._facet_cofaces.items()}
-        self._free = [(s, next(iter(self._cofaces[s]))) for s in self._cofaces if self._is_free(s)]
+        cofaces = complex_._facet_cofaces
+        self._cofaces = {s: set(cof) for s, cof in cofaces.items()}
+        self._free = [(s, cof[0]) for s, cof in cofaces.items() if len(cof) == 1]
         heapq.heapify(self._free)
 
     def __contains__(self, simplex: Simplex) -> bool:

@@ -9,7 +9,17 @@ pivot-dictionary reduction of persistent-homology software
 matrix's rows in order, each carrying the set of rows it sums, and the
 matrix keeps the result, as it keeps its transpose, in its own
 __dict__ through value.per_complex; neither points back at the matrix,
-so there is no reference cycle.  Every entry
+so there is no reference cycle.
+
+Each boundary matrix d_n is built together with its transpose, the
+coboundary matrix delta^(n-1): homology.ChainData fills rows and
+columns in one pass and hands both to `Gf2Matrix.with_transpose`, the
+one place a transpose is stored from outside.  Every other transpose is
+built bit by bit when it is first read: that of a matrix restricted to
+some rows or columns (surplus_cycle, h2_epi_witness,
+_kernel_modulo_image), of the pairing tensor's flattening, of a
+Zassenhaus matrix, and the transpose of a coboundary matrix, which is
+a new matrix equal to d_n and not d_n itself.  Every entry
 point reads a kept reduction, so a matrix is eliminated at most once:
 `rank` reads the side with fewer vectors and never back-substitutes;
 `kernel_basis`, `image_basis` and `solve` read the transpose's, the
@@ -154,6 +164,20 @@ class Gf2Matrix(Value):
         for i, r in enumerate(self.row_bits):
             bits |= ((r >> j) & 1) << i
         return Gf2Vector(self.rows, bits)
+
+    @classmethod
+    def with_transpose(
+        cls, rows: int, cols: int, row_bits: tuple[int, ...], col_bits: tuple[int, ...]
+    ) -> "Gf2Matrix":
+        """The matrix with these rows, keeping the matrix whose rows are
+        col_bits, which must be its columns, as its transpose(): a
+        caller that fills rows and columns in one pass saves the bit-by-
+        bit transpose.  Only the matrix points at its transpose, so the
+        two make no reference cycle; the transpose's own transpose, if
+        asked for, is built bit by bit."""
+        matrix = cls(rows, cols, row_bits)
+        vars(matrix)[cls.transpose.key] = cls(cols, rows, col_bits)
+        return matrix
 
     @per_complex
     def transpose(self) -> "Gf2Matrix":

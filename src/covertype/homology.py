@@ -4,15 +4,23 @@ Chains cross the API as sorted tuples of simplices (over GF(2) a chain
 IS a set of simplices), so they can be carried from a complex to a
 subcomplex and back; internally they become bit vectors indexed by the
 canonical simplex order of one specific complex.
+
+ChainData builds each boundary matrix d_n in one pass over the
+n-simplices, filling its rows and its columns at once, and keeps the
+columns as d_n.transpose(): the coboundary matrices, and the column
+reductions behind rank, kernel and image, read them with no bit-by-bit
+transpose.  The matrices this module restricts to some triangles
+(surplus_cycle, h2_epi_witness) are still transposed bit by bit.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import lru_cache
+from itertools import combinations
 
 from . import gf2
-from .complexes import Simplex, SimplicialComplex, make_simplex
+from .complexes import Simplex, SimplicialComplex, make_simplex, missing_facet
 from .errors import InconsistencyError, NotFoundError, PreconditionError
 from .value import Value, per_complex
 
@@ -37,7 +45,9 @@ class ChainData:
 
     boundary_matrix(n) maps n-chains to (n-1)-chains; rows are indexed
     by the canonical order of the (n-1)-simplices, columns by the
-    n-simplices.  The identity d(d(x)) = 0 is asserted on construction.
+    n-simplices.  The identity d(d(x)) = 0 is asserted on construction,
+    column by column as each is filled.  A simplex whose facet is not in
+    the complex is a MalformedInputError.
     """
 
     def __init__(self, complex_: SimplicialComplex):
@@ -49,18 +59,30 @@ class ChainData:
             {s: i for i, s in enumerate(group)} for group in self.simplices
         )
         self._boundary: dict[int, gf2.Gf2Matrix] = {}
+        below: tuple[int, ...] = (0,) * self.count(0)  # the columns of d_(n-1)
         for n in range(1, complex_.dim + 1):
-            rows = [0] * len(self.simplices[n - 1])
+            index = self.index[n - 1]
+            rows = [0] * len(index)
+            cols = []
             for j, s in enumerate(self.simplices[n]):
-                for i in range(len(s)):
-                    facet = s[:i] + s[i + 1 :]
-                    rows[self.index[n - 1][facet]] |= 1 << j
-            self._boundary[n] = gf2.Gf2Matrix(
-                len(self.simplices[n - 1]), len(self.simplices[n]), tuple(rows)
+                # boundary collects d_(n-1) of column j: the XOR of the
+                # columns of d_(n-1) at the facets of s
+                bit, col, boundary = 1 << j, 0, 0
+                try:
+                    for facet in combinations(s, n):
+                        i = index[facet]
+                        rows[i] |= bit
+                        col |= 1 << i
+                        boundary ^= below[i]
+                except KeyError:
+                    raise missing_facet(s, facet) from None
+                if boundary:
+                    raise InconsistencyError(f"boundary of boundary is nonzero in degree {n}")
+                cols.append(col)
+            below = tuple(cols)
+            self._boundary[n] = gf2.Gf2Matrix.with_transpose(
+                len(rows), len(cols), tuple(rows), below
             )
-        for n in range(2, complex_.dim + 1):
-            if not (self._boundary[n - 1] @ self._boundary[n]).is_zero():
-                raise InconsistencyError(f"boundary of boundary is nonzero in degree {n}")
 
     def count(self, n: int) -> int:
         if 0 <= n < len(self.simplices):

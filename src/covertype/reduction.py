@@ -185,10 +185,15 @@ class _Run:
         """Delete the pivot triangle of each basis row of im d_3, the row
         as evidence; each must be a 2-cycle on the current triangles."""
         data = chain_data(ambient)
-        d2, triangles = data.boundary_matrix(2), data.simplices[2]
+        boundaries, triangles = data.boundary_matrix(2).transpose().row_bits, data.simplices[2]
         for z in basis:
-            cycle = tuple(triangles[i] for i in z.support())
-            if not (d2 @ z).is_zero() or any(t not in self.work for t in cycle):
+            support = z.support()
+            cycle = tuple(triangles[i] for i in support)
+            # d2 z is the sum of the boundaries of z's triangles
+            boundary = 0
+            for i in support:
+                boundary ^= boundaries[i]
+            if boundary or any(t not in self.work for t in cycle):
                 raise InconsistencyError(f"{cycle} is not a 2-cycle on the current triangles")
             _, record = remove_two_simplex(self.work, cycle[0], aux=cycle)
             b0, b1, b2 = self.betti

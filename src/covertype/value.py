@@ -102,7 +102,9 @@ def per_complex(fn: Callable[[V], T]) -> Callable[[V], T]:
     value's own __dict__, as cached_property does, so it is freed with
     the value, and an equal but distinct value computes its own.  The
     package keeps the invariants of each complex, and the transpose and
-    the reduction of each GF(2) matrix, this way."""
+    the reduction of each GF(2) matrix, this way.  The wrapper's ``key``
+    names the result in the value's __dict__, so a result known when the
+    value is made can be stored there in advance."""
     key = f"{fn.__module__}.{fn.__qualname__}"
 
     @wraps(fn)
@@ -112,4 +114,5 @@ def per_complex(fn: Callable[[V], T]) -> Callable[[V], T]:
             memo[key] = fn(value)
         return memo[key]
 
+    once.key = key
     return once

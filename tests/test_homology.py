@@ -11,7 +11,7 @@ import weakref
 import pytest
 
 import covertype as ct
-from covertype import gf2
+from covertype import gf2, homology
 from covertype.homology import (
     chain_data,
     chain_from_vector,
@@ -21,10 +21,15 @@ from covertype.homology import (
     homology_profile,
     surplus_cycle,
 )
-from covertype.errors import NotFoundError, PreconditionError
+from covertype.errors import (
+    InconsistencyError,
+    MalformedInputError,
+    NotFoundError,
+    PreconditionError,
+)
 
 from helpers import dunce_hat, independent, random_small_complex, randomized_thickening
-from oracles import betti_oracle, kernel_modulo_image_reference
+from oracles import betti_oracle, kernel_modulo_image_reference, transpose_reference
 
 
 def test_boundary_shapes_and_identity(torus):
@@ -62,6 +67,70 @@ def test_boundaries_of_tetrahedron():
     # and it is exactly what the solid's top boundary map hits
     d3 = chain_data(solid).boundary_matrix(3)
     assert [v.coords() for v in gf2.image_basis(d3)] == [[1, 1, 1, 1]]
+
+
+def _bundled_and_random():
+    complexes = [ct.load_bundled(name) for name in ct.bundled_names()]
+    return complexes + [random_small_complex(random.Random(seed)) for seed in range(20)]
+
+
+def test_boundary_matrices_keep_their_columns_as_transpose():
+    for k in _bundled_and_random():
+        data = chain_data(k)
+        for n in range(1, k.dim + 1):
+            d = data.boundary_matrix(n)
+            t = d.transpose()
+            assert (t.rows, t.cols) == (d.cols, d.rows)
+            assert list(t.row_bits) == transpose_reference(d.row_bits, d.cols)
+
+
+def test_boundary_matrices_are_freed_without_the_collector():
+    """Only a matrix points at its kept transpose: with the cyclic
+    collector off, both go as soon as the complex and the cache let go."""
+    chain_data.cache_clear()
+    gc.disable()
+    try:
+        k = ct.build_complex([("a", "b", "c", "d"), ("c", "d", "e")])
+        data = chain_data(k)
+        matrices = [data.boundary_matrix(n) for n in (1, 2, 3)]
+        refs = [weakref.ref(m) for m in matrices]
+        refs += [weakref.ref(m.transpose()) for m in matrices]
+        refs.append(weakref.ref(data))
+        del k, data, matrices
+        chain_data.cache_clear()
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def test_a_missing_facet_is_malformed_input():
+    """A complex made directly from simplices that are not closed under
+    faces names the simplex and its missing facet."""
+    vertices = (("a",), ("b",), ("c",))
+    k = ct.SimplicialComplex((vertices, (("a", "b"), ("b", "c")), (("a", "b", "c"),)))
+    message = r"\('a', 'b', 'c'\) is in it but its facet \('a', 'c'\) is not"
+    with pytest.raises(MalformedInputError, match=message):
+        ct.betti_numbers(k)
+    with pytest.raises(MalformedInputError, match=message):
+        ct.check_closed_surface(ct.SimplicialComplex(k.by_dim))
+    stray = ct.SimplicialComplex((vertices, (("a", "d"),)))
+    with pytest.raises(MalformedInputError, match=r"its facet \('d',\) is not"):
+        ct.betti_numbers(stray)
+
+
+def test_boundary_of_boundary_guard_fires(monkeypatch):
+    """Drop one entry of d_2: the triangle's boundary is then a path,
+    whose own boundary is not zero."""
+    combinations = itertools.combinations
+
+    def one_facet_short(s, n):
+        facets = list(combinations(s, n))
+        return facets[1:] if s == ("a", "b", "c") else facets
+
+    monkeypatch.setattr(homology, "combinations", one_facet_short)
+    k = ct.build_complex([("a", "b", "c"), ("b", "c", "d")])
+    with pytest.raises(InconsistencyError, match="boundary of boundary is nonzero in degree 2"):
+        chain_data(k)
 
 
 BETTI_CASES = [

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 import covertype as ct
+from covertype import reduction
 from covertype.complexes import COLLAPSE, CONTRACTION, EXCISION, apply_move
 from covertype.reduction import (
     BoundCertificate,
@@ -30,6 +31,7 @@ from helpers import (
     attach_flap,
     barycentric_subdivision,
     dunce_hat,
+    glue_tetrahedron,
     randomized_thickening,
 )
 
@@ -219,6 +221,44 @@ def test_stage_error_names_the_failing_stage(torus, torus_wedge_circle):
         reduce_to_certificate(torus_wedge_circle, SurfaceClass(False, 3))
     assert info.value.stage == "contraction"
     assert isinstance(info.value.cause, PreconditionError)
+
+
+def test_excision_refuses_evidence_that_is_no_cycle(torus, monkeypatch):
+    """Flip one bit of the last row of the im d_3 basis, which the
+    from-scratch check of row 0 does not read: the excision stage
+    refuses that row as evidence."""
+    k = glue_tetrahedron(torus, ("1", "2", "4"), "x")
+    k = glue_tetrahedron(k, ("3", "5", "6"), "y")
+    image_basis = reduction.image_basis
+
+    def one_bit_off(m):
+        rows = image_basis(m)
+        last = rows[-1]
+        rows[-1] = ct.Gf2Vector(last.length, last.bits ^ (1 << (last.length - 1)))
+        return rows
+
+    monkeypatch.setattr(reduction, "image_basis", one_bit_off)
+    with pytest.raises(StageError, match="is not a 2-cycle on the current triangles") as info:
+        reduce_to_certificate(k, SurfaceClass(True, 1))
+    assert info.value.stage == "excision"
+
+
+def test_seam_refuses_tracked_betti_numbers_that_differ(torus, monkeypatch):
+    """At the end of the collapse stage the snapshot's Betti numbers are
+    recomputed from scratch; a wrong answer there stops the pipeline."""
+    flapped = attach_flap(torus, ("1", "2"), "z")
+    betti_numbers = reduction.betti_numbers
+
+    def wrong_after_a_move(k):
+        betti = betti_numbers(k)
+        return betti if k.f_vector == flapped.f_vector else (2,) + betti[1:]
+
+    monkeypatch.setattr(reduction, "betti_numbers", wrong_after_a_move)
+    with pytest.raises(
+        StageError, match=r"tracked Betti numbers \(1, 2, 1\) differ from the recomputed \(2, 2, 1\)"
+    ) as info:
+        reduce_to_certificate(flapped, SurfaceClass(True, 1))
+    assert info.value.stage == "collapse"
 
 
 def test_certificate_validation():
