@@ -13,7 +13,9 @@ WorkingComplex in place and return it, or run the move on a working
 copy of a frozen complex and return its freeze() snapshot, each with a
 MoveRecord, so a reduction pipeline can be audited and replayed.  They
 look the engine up when they run, so a command that moves nothing never
-loads it.
+loads it.  apply_move replays a record through its kind's entry point,
+which checks the move's evidence as it did when the move was made, and
+compares what the replay records with the whole record.
 
 Invariants of a complex (Betti numbers, property A, the surface check)
 are computed once per complex object and kept on it, by
@@ -97,21 +99,6 @@ class SimplicialComplex(Value):
     """Simplices grouped by dimension: by_dim[n] lists the n-simplices."""
 
     by_dim: tuple[tuple[Simplex, ...], ...]
-
-    @classmethod
-    def from_simplices(cls, simplices: Iterable[Simplex]) -> "SimplicialComplex":
-        """Group canonical simplices by dimension.
-
-        Downward closure is the caller's responsibility; use
-        build_complex for raw input.
-        """
-        groups: dict[int, set[Simplex]] = {}
-        for s in simplices:
-            groups.setdefault(len(s) - 1, set()).add(s)
-        if not groups:
-            return cls(())
-        top = max(groups)
-        return cls(tuple(tuple(sorted(groups.get(n, ()))) for n in range(top + 1)))
 
     # ------------------------------------------------------------------
     # queries
@@ -245,7 +232,8 @@ def build_complex(maximal_simplices: Iterable[Iterable[str]]) -> SimplicialCompl
 class MoveRecord(Value):
     """One audited structural move: what kind, which simplices, and the
     f-vectors before and after.  ``aux`` carries optional evidence, e.g.
-    the support of the 2-cycle that justified an excision."""
+    the support of the 2-cycle that justified an excision, which the
+    move checks when it is given."""
 
     kind: str
     simplices: tuple[Simplex, ...]
@@ -308,26 +296,28 @@ def identify_vertices(
     return _in_place(complex_, engine.WorkingComplex._identify, v, w)
 
 
+# each kind's entry point, called with what its record names
+_REPLAY: dict[str, Callable[[SimplicialComplex, MoveRecord], tuple]] = {
+    EXCISION: lambda k, r: remove_two_simplex(k, r.simplices[0], r.aux),
+    COLLAPSE: lambda k, r: collapse_free_face(k, r.simplices[0]),
+    CONTRACTION: lambda k, r: contract_edge(k, r.simplices[0]),
+    IDENTIFICATION: lambda k, r: identify_vertices(k, r.simplices[0][0], r.simplices[1][0]),
+}
+
+
 def apply_move(complex_: SimplicialComplex, record: MoveRecord) -> SimplicialComplex:
-    """Replay a recorded move; the complex must match the record's
-    before state and the result must match its after state."""
+    """Replay a recorded move through its kind's entry point, which
+    checks the move's preconditions and evidence; the complex must
+    match the record's before state, and the replay must make the
+    record itself."""
     if complex_.f_vector != record.before_f:
         raise PreconditionError(
             f"complex f-vector {complex_.f_vector} does not match the record's {record.before_f}"
         )
-    if record.kind == COLLAPSE:
-        new, rec = collapse_free_face(complex_, record.simplices[0])
-        if rec.simplices != record.simplices:
-            raise InconsistencyError("collapse replay paired the face with a different coface")
-    elif record.kind == CONTRACTION:
-        new, _ = contract_edge(complex_, record.simplices[0])
-    elif record.kind == EXCISION:
-        new, _ = remove_two_simplex(complex_, record.simplices[0])
-    elif record.kind == IDENTIFICATION:
-        (keep,), (drop,) = record.simplices
-        new, _ = identify_vertices(complex_, keep, drop)
-    else:
+    if record.kind not in _REPLAY:
         raise PreconditionError(f"unknown move kind {record.kind!r}")
-    if new.f_vector != record.after_f:
-        raise InconsistencyError("replayed move produced a different f-vector")
+    new, replayed = _REPLAY[record.kind](complex_, record)
+    if replayed != record:
+        fields = [n for n in record._fields if getattr(replayed, n) != getattr(record, n)]
+        raise InconsistencyError(f"replayed {record.kind} differs from its record in {', '.join(fields)}")
     return new

@@ -4,6 +4,10 @@ WorkingComplex is a mutable complex on which excision, elementary
 collapse, edge contraction and vertex identification each have their one
 implementation, a method that changes it in place and returns the
 MoveRecord; the last two share _glue, which renames one vertex's star.
+Each method also states the one check of its move's evidence: the
+excision cycle given as aux, the collapse witness, the path test of a
+contraction and the link test of an identification.  So the reduction
+pipeline and apply_move, which replays a record, run the same checks.
 The module-level move functions in complexes are the entry points: they
 run these methods on a WorkingComplex, or on a working copy of a frozen
 complex.  The reduction pipeline runs each stage on one WorkingComplex
@@ -73,9 +77,6 @@ class WorkingComplex:
     @property
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(group) for group in self._groups)
-
-    def facet_cofaces(self, simplex: Simplex) -> frozenset[Simplex]:
-        return frozenset(self._cofaces[simplex])
 
     def _is_free(self, face: Simplex) -> bool:
         return len(self._cofaces.get(face, ())) == 1
@@ -166,7 +167,22 @@ class WorkingComplex:
         self._push_free(touched)
 
     def _excise(self, triangle: Iterable[str], aux: tuple[Simplex, ...]) -> MoveRecord:
+        """Delete a maximal triangle t.  Evidence z, when given, must be
+        a 2-cycle on the current triangles that contains t: distinct
+        triangles, each present, with d_2 z = 0, that is, every edge of
+        z's triangles occurs an even number of times."""
         t = make_simplex(triangle)
+        if aux:
+            edges: set[Simplex] = set()
+            for s in aux:
+                edges.symmetric_difference_update(itertools.combinations(s, 2))
+            if (
+                edges
+                or t not in aux
+                or len(set(aux)) < len(aux)
+                or not all(len(s) == 3 and s in self for s in aux)
+            ):
+                raise InconsistencyError(f"{aux} is not a 2-cycle on the current triangles")
         if len(t) != 3 or t not in self:
             raise PreconditionError(f"{t} is not a 2-simplex of the complex")
         if self._cofaces[t]:
@@ -184,6 +200,17 @@ class WorkingComplex:
                 f"{f} has {len(self._cofaces[f])} codimension-1 cofaces; a free face has exactly one"
             )
         (coface,) = self._cofaces[f]
+        # the witness: row f of the boundary matrix is a single 1, in the
+        # column of a maximal coface, whose other facets all stay, so the
+        # boundary of f is the sum of theirs
+        facets = list(itertools.combinations(coface, len(coface) - 1))
+        if (
+            coface not in self
+            or self._cofaces[coface]
+            or f not in facets
+            or not all(g in self for g in facets)
+        ):
+            raise InconsistencyError(f"collapse of {f} into {coface} has no valid witness")
         before = self.f_vector
         self._remove(coface, f)
         return MoveRecord(COLLAPSE, (f, coface), before, self.f_vector)

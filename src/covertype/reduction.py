@@ -11,8 +11,8 @@ the surface.
 Each stage applies its moves in place to a WorkingComplex and takes a
 frozen SimplicialComplex snapshot only at its end; the next stage starts
 from that snapshot.  Every recorded Betti entry is exact: it comes from
-a rank update or a homotopy equivalence whose witness is checked on the
-spot.
+a rank update or a homotopy equivalence whose witness the engine checks
+as it makes the move, the same check apply_move runs on a replay.
 
 - Collapse of (f, c), dim f = k: c has no coface and f has no
   codimension-1 coface but c, so row f of d_(k+1) is a single 1 in
@@ -49,7 +49,6 @@ from __future__ import annotations
 from .cohomology import has_property_A
 from .complexes import (
     MoveRecord,
-    Simplex,
     SimplicialComplex,
     collapse_free_face,
     contract_edge,
@@ -66,6 +65,7 @@ from .gf2 import Gf2Vector, image_basis
 from .homology import (
     betti_numbers,
     chain_data,
+    chain_from_vector,
     h2_epi_witness,
     homology_basis,
     surplus_cycle,
@@ -122,26 +122,6 @@ def _concat_traces(first: ReductionTrace, second: ReductionTrace) -> ReductionTr
     )
 
 
-def _facets(s: Simplex) -> list[Simplex]:
-    return [s[:i] + s[i + 1 :] for i in range(len(s))] if len(s) > 1 else []
-
-
-def _is_collapse_witness(work: WorkingComplex, face: Simplex, coface: Simplex) -> bool:
-    """Row face of the boundary matrix is a single 1, at column coface,
-    and the boundary of face is the sum of the boundaries of the other
-    facets of coface, all present."""
-    others = [g for g in _facets(coface) if g != face]
-    boundary = set(_facets(face))
-    for g in others:
-        boundary.symmetric_difference_update(_facets(g))
-    return (
-        not work.facet_cofaces(coface)
-        and work.facet_cofaces(face) == {coface}
-        and not boundary
-        and all(g in work for g in others)
-    )
-
-
 class _Run:
     """A reduction in progress: the working complex, the moves and Betti
     entries recorded so far, and the last snapshot whose Betti numbers
@@ -182,19 +162,12 @@ class _Run:
         )
 
     def excise(self, ambient: SimplicialComplex, basis: list[Gf2Vector]) -> None:
-        """Delete the pivot triangle of each basis row of im d_3, the row
-        as evidence; each must be a 2-cycle on the current triangles."""
+        """Delete the pivot triangle of each basis row of im d_3, with the
+        row as evidence, which the engine checks is a 2-cycle on the
+        current triangles."""
         data = chain_data(ambient)
-        boundaries, triangles = data.boundary_matrix(2).transpose().row_bits, data.simplices[2]
         for z in basis:
-            support = z.support()
-            cycle = tuple(triangles[i] for i in support)
-            # d2 z is the sum of the boundaries of z's triangles
-            boundary = 0
-            for i in support:
-                boundary ^= boundaries[i]
-            if boundary or any(t not in self.work for t in cycle):
-                raise InconsistencyError(f"{cycle} is not a 2-cycle on the current triangles")
+            cycle = chain_from_vector(data, 2, z)
             _, record = remove_two_simplex(self.work, cycle[0], aux=cycle)
             b0, b1, b2 = self.betti
             self._record(record, (b0, b1, b2 - 1))
@@ -211,12 +184,8 @@ class _Run:
 
     def collapse(self) -> None:
         """Collapse free faces until none remain, smallest pair first."""
-        work = self.work
-        while (pair := work.smallest_free_face()) is not None:
-            face, coface = pair
-            if not _is_collapse_witness(work, face, coface):
-                raise InconsistencyError(f"collapse of {face} into {coface} has no valid witness")
-            self._record_equivalence(collapse_free_face(work, face)[1])
+        while (pair := self.work.smallest_free_face()) is not None:
+            self._record_equivalence(collapse_free_face(self.work, pair[0])[1])
 
     def contract(self) -> None:
         """Contract maximal edges, smallest first, and re-collapse after

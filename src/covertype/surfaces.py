@@ -335,10 +335,7 @@ def pinch_and_fill(
     merged, record = complexes.identify_vertices(complex_, v, v2)
     kept = record.simplices[0][0]
     triangle = complexes.make_simplex((kept, w, w2))
-    filled = complexes.SimplicialComplex.from_simplices(
-        list(merged.all_simplices())
-        + [triangle, (triangle[0], triangle[1]), (triangle[0], triangle[2]), (triangle[1], triangle[2])]
-    )
+    filled = complexes.build_complex(merged.maximal_simplices() + (triangle,))
     after = homology.betti_numbers(filled)
     if before != after:
         raise InconsistencyError(

@@ -29,6 +29,17 @@ from covertype.gf2 import Gf2Matrix, Gf2Vector
 from covertype.surfaces import SurfaceCheckReport
 
 
+def group_by_dim(simplices):
+    """The complex of the given canonical simplices, grouped by
+    dimension; closing them under faces is the caller's part.  The
+    references rebuild complexes this way, not with build_complex."""
+    groups = {}
+    for s in simplices:
+        groups.setdefault(len(s) - 1, set()).add(s)
+    top = max(groups, default=-1)
+    return SimplicialComplex(tuple(tuple(sorted(groups.get(n, ()))) for n in range(top + 1)))
+
+
 def boundary_matrix_dense(complex_, n):
     """Dense 0/1 integer boundary matrix from degree n to n-1."""
     rows = complex_.simplices(n - 1)
@@ -237,7 +248,7 @@ def link(complex_, vertex):
     for s in complex_.all_simplices():
         if v in s and len(s) > 1:
             sims.append(tuple(x for x in s if x != v))
-    return SimplicialComplex.from_simplices(sims)
+    return group_by_dim(sims)
 
 
 def path_exists(complex_, a, b, forbidden=None):
@@ -404,7 +415,7 @@ def excise_reference(complex_, triangle, aux=()):
         raise PreconditionError(f"{t} is not a 2-simplex of the complex")
     if complex_._facet_cofaces[t]:
         raise PreconditionError(f"{t} lies in a higher simplex; removing it would break closure")
-    new = SimplicialComplex.from_simplices(s for s in complex_.all_simplices() if s != t)
+    new = group_by_dim(s for s in complex_.all_simplices() if s != t)
     return new, MoveRecord(EXCISION, (t,), complex_.f_vector, new.f_vector, aux)
 
 
@@ -419,7 +430,7 @@ def collapse_reference(complex_, face):
         )
     (coface,) = cofaces
     removed = {f, coface}
-    new = SimplicialComplex.from_simplices(s for s in complex_.all_simplices() if s not in removed)
+    new = group_by_dim(s for s in complex_.all_simplices() if s not in removed)
     return new, MoveRecord(COLLAPSE, (f, coface), complex_.f_vector, new.f_vector)
 
 
@@ -443,7 +454,7 @@ def contract_reference(complex_, edge):
         raise PropertyAViolationError(
             f"endpoints of {e} remain connected without it; contracting would kill an essential circle"
         )
-    new = SimplicialComplex.from_simplices(_relabel(complex_.all_simplices(), a, b))
+    new = group_by_dim(_relabel(complex_.all_simplices(), a, b))
     f0, f1 = complex_.f_vector, new.f_vector
     # contracting a lone segment leaves a point, so f1 may lack an edge entry
     g1 = f1 + (0,) * (len(f0) - len(f1))
@@ -467,7 +478,7 @@ def identify_reference(complex_, v, w):
     if shared:
         raise PreconditionError(f"links of {va} and {vb} share vertices {shared}; they must be disjoint")
     keep, drop = sorted((va, vb))
-    new = SimplicialComplex.from_simplices(_relabel(complex_.all_simplices(), keep, drop))
+    new = group_by_dim(_relabel(complex_.all_simplices(), keep, drop))
     f0, f1 = complex_.f_vector, new.f_vector
     if f1[0] != f0[0] - 1 or f1[1:] != f0[1:]:
         raise InconsistencyError(f"identification of {va},{vb} changed the f-vector unexpectedly: {f0} -> {f1}")

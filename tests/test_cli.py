@@ -17,6 +17,8 @@ import covertype as ct
 from covertype.cli import _COMMANDS, main
 from covertype.fileformat import MAX_CLOSURE_FACES
 
+from helpers import attach_dunce_with_bridge, attach_flap, glue_tetrahedron
+
 
 @pytest.fixture()
 def files(tmp_path):
@@ -603,6 +605,40 @@ def test_machine_output_is_deterministic(files, tmp_path, capsys):
     first = run(capsys, *args)
     second = run(capsys, *args)
     assert first == second
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(files, tmp_path):
+    """The package iterates sets, whose order follows the hash seed;
+    what a run prints and writes must not.  The thickened torus makes
+    an excision (a glued tetrahedron), collapses (a flap) and
+    contractions (a dunce hat on a bridge edge)."""
+    k = glue_tetrahedron(ct.load_bundled("torus_7"), ("1", "2", "4"), "x")
+    k = attach_dunce_with_bridge(attach_flap(k, ("3", "5"), "y"), "6", "d")
+    thick = tmp_path / "thick.cplx"
+    ct.write_complex_file(k, thick)
+    src = str(Path(ct.__file__).resolve().parents[1])
+    runs = []
+    for seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        results = []
+        for command, path, *rest in (
+            ("reduce", thick, "--surface", "T2"),
+            ("construct-m2", files["genus2_10"]),
+        ):
+            written = tmp_path / f"{command}-{seed}.cplx"
+            proc = subprocess.run(
+                [sys.executable, "-m", "covertype", "--machine", command, path, written, *rest],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert (proc.returncode, proc.stderr) == (0, "")
+            lines = [x for x in proc.stdout.splitlines() if not x.startswith("output: ")]
+            results.append((lines, written.read_bytes()))
+        runs.append(results)
+    assert runs[0] == runs[1]
+    fields = machine("\n".join(runs[0][0][0]))
+    assert all(int(fields[key]) > 0 for key in ("excisions", "collapses", "contractions"))
 
 
 def test_module_entry_point(files):

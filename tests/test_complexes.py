@@ -344,6 +344,100 @@ def test_apply_move_rejects_wrong_state():
         ct.apply_move(k, bogus)
 
 
+def two_spheres():
+    """The boundaries of two disjoint tetrahedra: each is a 2-cycle."""
+    return ct.build_complex(
+        list(itertools.combinations("abcd", 3)) + list(itertools.combinations("efgh", 3))
+    )
+
+
+def excision_record(k, triangle, aux):
+    """The record an excision of the triangle from k would make."""
+    after = ct.build_complex(s for s in k.maximal_simplices() if s != triangle)
+    return MoveRecord(EXCISION, (triangle,), k.f_vector, after.f_vector, aux)
+
+
+@pytest.mark.parametrize(
+    "aux",
+    [
+        (("a", "b", "c"), ("a", "b", "d"), ("a", "c", "d")),  # no cycle
+        tuple(itertools.combinations("efgh", 3)),  # a cycle without abc
+        (("a", "b", "c"), ("a", "b", "c")),  # cancels to the zero chain
+        tuple(itertools.combinations("abcd", 3)) + (("e",),),  # a vertex is no triangle
+    ],
+    ids=["no-cycle", "lacks-the-triangle", "repeated-triangle", "not-a-triangle"],
+)
+def test_excision_refuses_evidence_that_is_no_cycle_through_it(aux):
+    k = two_spheres()
+    record = excision_record(k, ("a", "b", "c"), aux)
+    with pytest.raises(InconsistencyError, match="is not a 2-cycle on the current triangles"):
+        ct.apply_move(k, record)
+    with pytest.raises(InconsistencyError, match="is not a 2-cycle on the current triangles"):
+        ct.remove_two_simplex(WorkingComplex(k), ("a", "b", "c"), aux)
+
+
+def test_excision_refuses_a_triangle_already_gone():
+    """The cycle the triangle lies on is accepted once; replayed again,
+    it names a triangle that is gone."""
+    k = two_spheres()
+    cycle = tuple(itertools.combinations("abcd", 3))
+    once = ct.apply_move(k, excision_record(k, ("a", "b", "c"), cycle))
+    assert once == ct.remove_two_simplex(k, ("a", "b", "c"))[0]
+    again = MoveRecord(EXCISION, (("a", "b", "c"),), once.f_vector, once.f_vector, cycle)
+    with pytest.raises(InconsistencyError, match="is not a 2-cycle on the current triangles"):
+        ct.apply_move(once, again)
+    # without evidence the move itself is refused
+    with pytest.raises(PreconditionError, match="is not a 2-simplex"):
+        ct.apply_move(once, MoveRecord(EXCISION, again.simplices, once.f_vector, once.f_vector))
+
+
+def corrupt_not_maximal(work):
+    work._cofaces[("a", "b", "c")].add(("a", "b", "c", "x"))
+
+
+def corrupt_not_a_facet(work):
+    work._cofaces[("a", "b")] = {("d", "e", "f")}
+
+
+def corrupt_other_facet_gone(work):
+    del work._cofaces[("b", "c")]
+
+
+def corrupt_coface_gone(work):
+    work._cofaces[("a", "b")] = {("a", "b", "x")}
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [corrupt_not_maximal, corrupt_not_a_facet, corrupt_other_facet_gone, corrupt_coface_gone],
+)
+def test_collapse_refuses_a_coface_that_is_no_witness(corrupt):
+    """The engine checks the collapse witness against its own coface
+    table, so a table that lies about the coface is caught."""
+    work = WorkingComplex(ct.build_complex([("a", "b", "c"), ("d", "e", "f")]))
+    corrupt(work)
+    with pytest.raises(InconsistencyError, match="has no valid witness"):
+        ct.collapse_free_face(work, ("a", "b"))
+
+
+def test_apply_move_compares_the_whole_record():
+    """The replay must make the record itself: a collapse into another
+    coface, a wrong after state or evidence a collapse never has is
+    refused."""
+    k = ct.build_complex([("a", "b", "c"), ("a", "b", "d")])
+    _, record = ct.collapse_free_face(k, ("b", "d"))
+    assert record.simplices == (("b", "d"), ("a", "b", "d"))
+    for field, bad in (
+        ("simplices", record.simplices[:1] + (("b", "c", "d"),)),
+        ("after_f", (4, 5, 1)),
+        ("aux", (("a", "b", "d"),)),
+    ):
+        wrong = MoveRecord(**{**{n: getattr(record, n) for n in record._fields}, field: bad})
+        with pytest.raises(InconsistencyError, match=f"differs from its record in {field}$"):
+            ct.apply_move(k, wrong)
+    assert ct.apply_move(k, record) == ct.collapse_free_face(k, ("b", "d"))[0]
+
+
 def test_working_complex_follows_the_frozen_moves():
     """In-place excisions and collapses give the same records and
     complexes as the rebuilding references, and the heap always offers
@@ -355,9 +449,7 @@ def test_working_complex_follows_the_frozen_moves():
         tops = [t for t in frozen.simplices(2) if not frozen._facet_cofaces[t]]
         if tops:
             t = rng.choice(tops)
-            assert ct.remove_two_simplex(work, t, aux=(t,))[1] == (
-                excise_reference(frozen, t, aux=(t,))[1]
-            )
+            assert ct.remove_two_simplex(work, t)[1] == excise_reference(frozen, t)[1]
             frozen = work.freeze()
         while True:
             pairs = frozen.free_faces()

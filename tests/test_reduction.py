@@ -7,7 +7,8 @@ import pytest
 
 import covertype as ct
 from covertype import reduction
-from covertype.complexes import COLLAPSE, CONTRACTION, EXCISION, apply_move
+from covertype.complexes import COLLAPSE, CONTRACTION, EXCISION, MoveRecord, apply_move
+from covertype.engine import WorkingComplex
 from covertype.reduction import (
     BoundCertificate,
     ReductionTrace,
@@ -34,6 +35,7 @@ from helpers import (
     glue_tetrahedron,
     randomized_thickening,
 )
+from oracles import excise_reference
 
 
 def test_collapse_all_solid_tetrahedron():
@@ -119,6 +121,29 @@ def test_excision_worked_example(side_sphere):
     )
     assert trace.betti_steps == ((1, 0, 2), (1, 0, 1))
     assert ("1", "2", "3") not in final
+
+
+def test_excision_cycles_replay_as_evidence(torus):
+    """Each cycle the excision stage records is evidence the engine
+    accepts again: on a working complex, where the move matches its
+    rebuilding reference, and through apply_move on frozen complexes.
+    The same cycle one triangle short is refused."""
+    k = glue_tetrahedron(torus, ("1", "2", "4"), "x")
+    k = glue_tetrahedron(k, ("3", "5", "6"), "y")
+    final, trace = excise_to_surface_homology(k)
+    assert trace.move_counts() == {EXCISION: 2}
+    work, frozen = WorkingComplex(k.skeleton(2)), k.skeleton(2)
+    for move in trace.moves:
+        assert len(move.aux) >= 4 and move.aux[0] == move.simplices[0]
+        short = MoveRecord(move.kind, move.simplices, move.before_f, move.after_f, move.aux[:-1])
+        with pytest.raises(InconsistencyError, match="is not a 2-cycle on the current triangles"):
+            apply_move(frozen, short)
+        assert ct.remove_two_simplex(work, move.simplices[0], move.aux)[1] == move
+        expected, record = excise_reference(frozen, move.simplices[0], move.aux)
+        assert record == move
+        frozen = apply_move(frozen, move)
+        assert frozen == expected == work.freeze()
+    assert frozen == final
 
 
 def test_excision_is_trivial_on_surfaces(torus):
@@ -262,7 +287,7 @@ def test_seam_refuses_tracked_betti_numbers_that_differ(torus, monkeypatch):
 
 
 def test_certificate_validation():
-    with pytest.raises(InconsistencyError, match="chi"):
+    with pytest.raises(InconsistencyError, match="does not have the declared chi"):
         BoundCertificate(chi=1, f_vector=(5, 9, 6), rho=6)
     with pytest.raises(InconsistencyError, match="rho"):
         BoundCertificate(chi=2, f_vector=(5, 9, 6), rho=5)
