@@ -7,9 +7,10 @@ The layer modules load on first use.  Importing the package puts each
 one in sys.modules and binds it here as a module object whose code runs
 on its first attribute access (importlib.util.LazyLoader), so a CLI
 call, a fresh process each time, runs only the modules its command
-uses: `bounds` runs `surfaces` alone, and only the commands that move
-simplices run `engine`.  Modules therefore reach each other as
-`from . import surfaces` and look a function up when they call it.
+uses: `bounds` runs `bounds` alone, `reduce` never runs `surfaces`, and
+only the commands that move simplices run `engine`.  Modules therefore
+reach each other as `from . import surfaces` and look a function up
+when they call it.
 `errors` loads eagerly, and `value`, the base of the layers' value
 types, with the first layer that runs.  The names exported below
 resolve through `__getattr__`.
@@ -44,6 +45,7 @@ def _lazy(name: str):
     return module
 
 
+bounds = _lazy("bounds")
 bundled = _lazy("bundled")
 cohomology = _lazy("cohomology")
 complexes = _lazy("complexes")
@@ -56,6 +58,14 @@ surfaces = _lazy("surfaces")
 
 # each exported name, by the module that defines it
 _EXPORTS = {
+    "bounds": (
+        "SurfaceClass",
+        "covering_type",
+        "delta",
+        "rho",
+        "surface_from_name",
+        "surfaces_with_betti",
+    ),
     "bundled": ("bundled_names", "bundled_text", "load_bundled"),
     "cohomology": (
         "Cochain",
@@ -117,17 +127,11 @@ _EXPORTS = {
     ),
     "surfaces": (
         "SurfaceCheckReport",
-        "SurfaceClass",
         "build_nine_vertex_m2",
         "check_closed_surface",
         "classify_surface",
-        "covering_type",
-        "delta",
         "orientable",
         "pinch_and_fill",
-        "rho",
-        "surface_from_name",
-        "surfaces_with_betti",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

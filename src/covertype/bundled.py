@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .bounds import surface_from_name
 from .complexes import SimplicialComplex
 from .errors import InconsistencyError, NotFoundError
 from .fileformat import parse_complex_text
-from .surfaces import check_closed_surface, classify_surface, surface_from_name
+from .surfaces import check_closed_surface, classify_surface
 
 __all__ = ["bundled_names", "bundled_text", "load_bundled"]
 

@@ -16,7 +16,7 @@ gives the --help text: `covertype [--machine] [--quiet] COMMAND ...`,
 with the command's options anywhere after it, as `--surface S` or
 `--surface=S`, and `--` ending the options.  Option names are never
 abbreviated, and an option given twice is a usage error.  `--chi` takes
-an optional sign and ASCII digits, at most `surfaces.MAX_GENUS_DIGITS`
+an optional sign and ASCII digits, at most `bounds.MAX_GENUS_DIGITS`
 of them.  A usage error, such as an unknown command or option or a
 missing or extra argument, prints one `error:` line on stderr and exits
 2 before any file is read or written.  So does a file or out path that
@@ -33,7 +33,7 @@ import types
 
 # the layers load on first use (see covertype/__init__.py), so each
 # command runs only the modules it calls into
-from . import cohomology, complexes, fileformat, homology, reduction, surfaces
+from . import bounds, cohomology, complexes, fileformat, homology, reduction, surfaces
 from .errors import (
     CoveringTypeError,
     DomainError,
@@ -100,18 +100,18 @@ def _load(args) -> tuple[complexes.SimplicialComplex, list]:
     return parsed.complex(), header
 
 
-def _surface_bounds(surface: surfaces.SurfaceClass) -> list:
+def _surface_bounds(surface: bounds.SurfaceClass) -> list:
     return [
         ("chi", surface.chi),
-        ("rho", surfaces.rho(surface.chi)),
-        ("delta", surfaces.delta(surface)),
-        ("covering_type", surfaces.covering_type(surface)),
+        ("rho", bounds.rho(surface.chi)),
+        ("delta", bounds.delta(surface)),
+        ("covering_type", bounds.covering_type(surface)),
     ]
 
 
-def _infer_surface(complex_: complexes.SimplicialComplex) -> surfaces.SurfaceClass:
+def _infer_surface(complex_: complexes.SimplicialComplex) -> bounds.SurfaceClass:
     betti = homology.betti_numbers(complex_)
-    candidates = surfaces.surfaces_with_betti(betti)
+    candidates = bounds.surfaces_with_betti(betti)
     if not candidates:
         raise MalformedInputError(
             f"Betti numbers {betti} match no closed surface; pass --surface explicitly"
@@ -176,7 +176,7 @@ def cmd_surface(args) -> tuple[int, list]:
 
 def cmd_reduce(args) -> tuple[int, list]:
     complex_, fields = _load(args)
-    surface = surfaces.surface_from_name(args.surface) if args.surface else _infer_surface(complex_)
+    surface = bounds.surface_from_name(args.surface) if args.surface else _infer_surface(complex_)
     final, trace, certificate = reduction.reduce_to_certificate(complex_, surface)
     fileformat.write_complex_file(final, args.out)
     counts = trace.move_counts()
@@ -217,8 +217,8 @@ def cmd_construct_m2(args) -> tuple[int, list]:
 def cmd_bounds(args) -> tuple[int, list]:
     fields = [("command", args.subcommand)]
     if args.surface is None:
-        return 0, fields + [("chi", args.chi), ("rho", surfaces.rho(args.chi))]
-    surface = surfaces.surface_from_name(args.surface)
+        return 0, fields + [("chi", args.chi), ("rho", bounds.rho(args.chi))]
+    surface = bounds.surface_from_name(args.surface)
     return 0, fields + [("surface", surface.name)] + _surface_bounds(surface)
 
 
@@ -229,7 +229,7 @@ class _UsageError(Exception):
 def _chi(text: str) -> int:
     """An optional sign and ASCII digits, as many as a genus may have."""
     digits = text[1:] if text[:1] in ("+", "-") else text
-    limit = surfaces.MAX_GENUS_DIGITS
+    limit = bounds.MAX_GENUS_DIGITS
     if not (digits.isascii() and digits.isdigit() and len(digits) <= limit):
         raise _UsageError(f"--chi takes at most {limit} ASCII digits, not {shown(text)}")
     return int(text)

@@ -296,12 +296,13 @@ def identify_vertices(
     return _in_place(complex_, engine.WorkingComplex._identify, v, w)
 
 
-# each kind's entry point, called with what its record names
-_REPLAY: dict[str, Callable[[SimplicialComplex, MoveRecord], tuple]] = {
-    EXCISION: lambda k, r: remove_two_simplex(k, r.simplices[0], r.aux),
-    COLLAPSE: lambda k, r: collapse_free_face(k, r.simplices[0]),
-    CONTRACTION: lambda k, r: contract_edge(k, r.simplices[0]),
-    IDENTIFICATION: lambda k, r: identify_vertices(k, r.simplices[0][0], r.simplices[1][0]),
+# each kind's number of simplices in its record, and its entry point,
+# called with what the record names
+_REPLAY: dict[str, tuple[int, Callable[[SimplicialComplex, MoveRecord], tuple]]] = {
+    EXCISION: (1, lambda k, r: remove_two_simplex(k, r.simplices[0], r.aux)),
+    COLLAPSE: (2, lambda k, r: collapse_free_face(k, r.simplices[0])),
+    CONTRACTION: (1, lambda k, r: contract_edge(k, r.simplices[0])),
+    IDENTIFICATION: (2, lambda k, r: identify_vertices(k, r.simplices[0][0], r.simplices[1][0])),
 }
 
 
@@ -316,7 +317,15 @@ def apply_move(complex_: SimplicialComplex, record: MoveRecord) -> SimplicialCom
         )
     if record.kind not in _REPLAY:
         raise PreconditionError(f"unknown move kind {record.kind!r}")
-    new, replayed = _REPLAY[record.kind](complex_, record)
+    count, replay = _REPLAY[record.kind]
+    if len(record.simplices) != count:
+        raise PreconditionError(
+            f"a record of kind {record.kind!r} needs simplices of length {count},"
+            f" not {len(record.simplices)}"
+        )
+    if not all(record.simplices):
+        raise PreconditionError(f"a record of kind {record.kind!r} names an empty simplex")
+    new, replayed = replay(complex_, record)
     if replayed != record:
         fields = [n for n in record._fields if getattr(replayed, n) != getattr(record, n)]
         raise InconsistencyError(f"replayed {record.kind} differs from its record in {', '.join(fields)}")

@@ -46,6 +46,7 @@ snapshot it was handed, e.g. the contraction gate those of collapse.
 
 from __future__ import annotations
 
+from .bounds import SurfaceClass, rho, surfaces_with_betti
 from .cohomology import has_property_A
 from .complexes import (
     MoveRecord,
@@ -70,7 +71,6 @@ from .homology import (
     homology_basis,
     surplus_cycle,
 )
-from .surfaces import SurfaceClass, rho, surfaces_with_betti
 from .value import Value
 
 __all__ = [

@@ -344,6 +344,38 @@ def test_apply_move_rejects_wrong_state():
         ct.apply_move(k, bogus)
 
 
+@pytest.mark.parametrize(
+    "kind, simplices, message",
+    [
+        (COLLAPSE, (), "a record of kind 'collapse' needs simplices of length 2, not 0"),
+        (COLLAPSE, (("a", "b"),), "a record of kind 'collapse' needs simplices of length 2, not 1"),
+        (EXCISION, (), "a record of kind 'simplex-excision' needs simplices of length 1, not 0"),
+        (
+            CONTRACTION,
+            (("a", "b"), ("b", "c")),
+            "a record of kind 'edge-contraction' needs simplices of length 1, not 2",
+        ),
+        (
+            IDENTIFICATION,
+            (("a",),),
+            "a record of kind 'vertex-identification' needs simplices of length 2, not 1",
+        ),
+        (
+            IDENTIFICATION,
+            (("a",), ()),
+            "a record of kind 'vertex-identification' names an empty simplex",
+        ),
+    ],
+)
+def test_apply_move_refuses_a_record_of_the_wrong_shape(kind, simplices, message):
+    """A record read back from anywhere names as many simplices as its
+    kind's move makes, each with a vertex, or it is refused in one line."""
+    k = ct.build_complex([("a", "b", "c"), ("d",)])
+    with pytest.raises(PreconditionError, match=f"^{message}$") as info:
+        ct.apply_move(k, MoveRecord(kind, simplices, k.f_vector, k.f_vector))
+    assert "\n" not in str(info.value)
+
+
 def two_spheres():
     """The boundaries of two disjoint tetrahedra: each is a 2-cycle."""
     return ct.build_complex(

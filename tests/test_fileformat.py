@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -140,6 +141,24 @@ def test_bundled_names_and_missing():
     assert "torus_7" in ct.bundled_names()
     with pytest.raises(ct.NotFoundError):
         ct.bundled_text("no_such_complex")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# surface: S2\na b c\n", "bundled file corrupt does not triangulate a closed surface"),
+        (
+            "# surface: S2\n" + ct.bundled_text("torus_7"),
+            "bundled file corrupt declares S^2 but classifies as T^2",
+        ),
+    ],
+    ids=["not-a-surface", "wrong-class"],
+)
+def test_a_bundled_file_is_checked_against_its_header(text, message, monkeypatch):
+    """A data file whose surface header is wrong is refused on load."""
+    monkeypatch.setattr(ct.bundled, "bundled_text", lambda name: text)
+    with pytest.raises(ct.InconsistencyError, match=f"^{re.escape(message)}$"):
+        ct.load_bundled("corrupt")
 
 
 def test_bundled_files_declare_their_surfaces():

@@ -53,7 +53,8 @@ UNUSED_AT_RUN_TIME = COMPILER_MODULES + ("typing", "hashlib", "argparse", "gette
 # sys.modules after `from covertype import cli`, so every layer must be
 # there, even though none of them has run yet.
 LAYERS = (
-    "gf2", "homology", "complexes", "engine", "cohomology", "surfaces", "reduction", "fileformat"
+    "gf2", "homology", "complexes", "engine", "cohomology", "bounds", "surfaces", "reduction",
+    "fileformat",
 )
 
 # the modules each command runs: those it calls into and what they import
@@ -63,15 +64,16 @@ RUNS = {
         ["property-a", "{torus}"],
         {"cohomology", "complexes", "fileformat", "gf2", "homology"},
     ),
-    "surface": (["surface", "{torus}"], {"complexes", "fileformat", "surfaces"}),
-    "bounds-chi": (["bounds", "--chi", "0"], {"surfaces"}),
-    "bounds-surface": (["bounds", "--surface", "M2"], {"surfaces"}),
-    # engine, the in-place move engine, runs only where simplices move
-    "reduce": (["reduce", "{torus}", "{out}", "--surface", "M1"], set(LAYERS)),
-    "construct-m2": (
-        ["construct-m2", "{genus2}", "{out}"],
-        {"cohomology", "complexes", "engine", "fileformat", "gf2", "homology", "surfaces"},
-    ),
+    "surface": (["surface", "{torus}"], {"bounds", "complexes", "fileformat", "surfaces"}),
+    # the surface table needs no complex, and the bounds read nothing else
+    "bounds-chi": (["bounds", "--chi", "0"], {"bounds"}),
+    "bounds-surface": (["bounds", "--surface", "M2"], {"bounds"}),
+    # engine, the in-place move engine, runs only where simplices move;
+    # reduce reads the surface table but checks no closed surface
+    "reduce": (["reduce", "{torus}", "{out}", "--surface", "M1"], set(LAYERS) - {"surfaces"}),
+    # the surface inferred from the Betti numbers, an excision to make it
+    "reduce-inferred": (["reduce", "{sphere}", "{out}"], set(LAYERS) - {"surfaces"}),
+    "construct-m2": (["construct-m2", "{genus2}", "{out}"], set(LAYERS) - {"reduction"}),
 }
 
 
@@ -101,6 +103,7 @@ def test_each_command_runs_only_the_layers_it_uses(command, tmp_path):
     paths = {
         "{torus}": DATA / "torus_7.cplx",
         "{genus2}": DATA / "genus2_10.cplx",
+        "{sphere}": DATA / "side_sphere_5.cplx",
         "{out}": tmp_path / "out.cplx",
     }
     seen = _probe([str(paths.get(a, a)) for a in argv])
@@ -113,6 +116,7 @@ def test_each_command_runs_only_the_layers_it_uses(command, tmp_path):
 
 # every name the package exported when it imported its modules eagerly
 EXPORTS = {
+    "bounds": ("SurfaceClass", "covering_type", "delta", "rho", "surface_from_name"),
     "bundled": ("bundled_names", "bundled_text", "load_bundled"),
     "cohomology": (
         "Cochain",
@@ -185,16 +189,11 @@ EXPORTS = {
     ),
     "surfaces": (
         "SurfaceCheckReport",
-        "SurfaceClass",
         "build_nine_vertex_m2",
         "check_closed_surface",
         "classify_surface",
-        "covering_type",
-        "delta",
         "orientable",
         "pinch_and_fill",
-        "rho",
-        "surface_from_name",
     ),
 }
 

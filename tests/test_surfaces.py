@@ -9,18 +9,20 @@ import pytest
 
 import covertype as ct
 from covertype import surfaces
-from covertype.surfaces import (
+from covertype.bounds import (
     SurfaceClass,
-    build_nine_vertex_m2,
-    check_closed_surface,
-    classify_surface,
     covering_type,
     delta,
-    orientable,
-    pinch_and_fill,
     rho,
     surface_from_name,
     surfaces_with_betti,
+)
+from covertype.surfaces import (
+    build_nine_vertex_m2,
+    check_closed_surface,
+    classify_surface,
+    orientable,
+    pinch_and_fill,
 )
 from covertype.errors import DomainError, InconsistencyError, PreconditionError
 from covertype.value import per_complex
@@ -105,7 +107,8 @@ def test_check_rejects_pinched_sphere():
     assert not report.strongly_connected
     assert report.component_count == 2
     assert report.bad_vertices == ("1",)
-    with pytest.raises(PreconditionError):
+    # classify's own precondition, before orientable's would refuse it
+    with pytest.raises(PreconditionError, match="^classification requires a closed surface$"):
         classify_surface(k)
 
 
