@@ -18,15 +18,14 @@ which checks the move's evidence as it did when the move was made, and
 compares what the replay records with the whole record.
 
 Invariants of a complex (Betti numbers, property A, the surface check)
-are computed once per complex object and kept on it, by
-value.per_complex.
+and its incidence tables are computed once per complex object and kept
+on it, by value.per_complex.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Iterable, Iterator
-from functools import cached_property
 
 from . import engine
 from .errors import (
@@ -35,7 +34,7 @@ from .errors import (
     NotFoundError,
     PreconditionError,
 )
-from .value import Value
+from .value import Value, per_complex
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -144,7 +143,8 @@ class SimplicialComplex(Value):
             return self
         return SimplicialComplex(self.by_dim[: n + 1])
 
-    @cached_property
+    @property
+    @per_complex
     def _facet_cofaces(self) -> dict[Simplex, list[Simplex]]:
         """Codimension-1 cofaces of every simplex, the one incidence
         table of the complex; its keys are the simplices.  Each list is
@@ -180,7 +180,8 @@ class SimplicialComplex(Value):
             sorted((s, cof[0]) for s, cof in self._facet_cofaces.items() if len(cof) == 1)
         )
 
-    @cached_property
+    @property
+    @per_complex
     def _adjacency(self) -> dict[str, tuple[str, ...]]:
         """Neighbours of each vertex, ascending: the other ends of its
         edges, whose canonical order lists every (u, v) with u < v
@@ -306,11 +307,34 @@ _REPLAY: dict[str, tuple[int, Callable[[SimplicialComplex, MoveRecord], tuple]]]
 }
 
 
+def _is_simplices(group) -> bool:
+    return isinstance(group, tuple) and all(
+        isinstance(s, tuple) and all(isinstance(v, str) for v in s) for s in group
+    )
+
+
+def _is_f_vector(f) -> bool:
+    return isinstance(f, tuple) and all(type(n) is int for n in f)
+
+
+# what each field of a record holds when a move made it
+_FIELD_SHAPES = (
+    ("kind", lambda kind: isinstance(kind, str), "a string"),
+    ("simplices", _is_simplices, "a tuple of simplices, each a tuple of string labels"),
+    ("aux", _is_simplices, "a tuple of simplices, each a tuple of string labels"),
+    ("before_f", _is_f_vector, "a tuple of ints"),
+    ("after_f", _is_f_vector, "a tuple of ints"),
+)
+
+
 def apply_move(complex_: SimplicialComplex, record: MoveRecord) -> SimplicialComplex:
     """Replay a recorded move through its kind's entry point, which
-    checks the move's preconditions and evidence; the complex must
-    match the record's before state, and the replay must make the
-    record itself."""
+    checks the move's preconditions and evidence; the record's fields
+    must have the shapes a move gives them, the complex must match the
+    record's before state, and the replay must make the record itself."""
+    for name, fits, shape in _FIELD_SHAPES:
+        if not fits(getattr(record, name)):
+            raise PreconditionError(f"a move record's {name} must be {shape}")
     if complex_.f_vector != record.before_f:
         raise PreconditionError(
             f"complex f-vector {complex_.f_vector} does not match the record's {record.before_f}"

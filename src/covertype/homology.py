@@ -11,12 +11,17 @@ columns as d_n.transpose(): the coboundary matrices, and the column
 reductions behind rank, kernel and image, read them with no bit-by-bit
 transpose.  The matrices this module restricts to some triangles
 (surplus_cycle, h2_epi_witness) are still transposed bit by bit.
+
+chain_data builds a complex's ChainData once and keeps it on the complex
+object (value.per_complex), so an equal but distinct complex builds its
+own.  ChainData holds no reference to its complex, and a transpose none
+to the matrix that keeps it, so the chain data, its matrices and their
+transposes are freed with the complex by reference counting.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from functools import lru_cache
 from itertools import combinations
 
 from . import gf2
@@ -51,7 +56,6 @@ class ChainData:
     """
 
     def __init__(self, complex_: SimplicialComplex):
-        self.complex = complex_
         self.simplices: tuple[tuple[Simplex, ...], ...] = tuple(
             complex_.simplices(n) for n in range(complex_.dim + 1)
         )
@@ -97,9 +101,7 @@ class ChainData:
         return gf2.Gf2Matrix.zero(self.count(n - 1), 0)
 
 
-# Bounded, so that a process working through many complexes keeps at
-# most this many of them (and their matrices) alive.
-@lru_cache(maxsize=16)
+@per_complex
 def chain_data(complex_: SimplicialComplex) -> ChainData:
     return ChainData(complex_)
 
@@ -162,7 +164,7 @@ def _component_minima(data: ChainData) -> list[Simplex]:
         return v
 
     index = data.index[0]
-    for a, b in data.complex.simplices(1):
+    for a, b in data.simplices[1] if data.count(1) else ():
         ra, rb = root(index[(a,)]), root(index[(b,)])
         parent[max(ra, rb)] = min(ra, rb)
     return [s for v, s in enumerate(data.simplices[0]) if parent[v] == v]

@@ -19,9 +19,9 @@ class Value:
     arguments to the fields as a function call binds its parameters
     (a missing, unknown, duplicated or extra argument is a TypeError),
     stores them, and then calls ``_check``, where a subclass checks its
-    fields.  There are no __slots__: cached_property and per_complex
-    keep their values in the instance __dict__, beside the fields and
-    outside equality and hashing.
+    fields.  There are no __slots__: per_complex keeps each derived
+    result in the instance __dict__, beside the fields and outside
+    equality and hashing.
 
     The package does not use the standard dataclass decorator because
     every CLI call is a fresh process: importing its module loads
@@ -97,22 +97,37 @@ if TYPE_CHECKING:
     T = TypeVar("T")
 
 
+class CacheInfo(Value):
+    """What per_complex's cache_info() reports of one memoized function."""
+
+    hits: int
+    misses: int
+
+
 def per_complex(fn: Callable[[V], T]) -> Callable[[V], T]:
     """Run fn once per value object: the result is kept in the immutable
-    value's own __dict__, as cached_property does, so it is freed with
-    the value, and an equal but distinct value computes its own.  The
-    package keeps the invariants of each complex, and the transpose and
-    the reduction of each GF(2) matrix, this way.  The wrapper's ``key``
-    names the result in the value's __dict__, so a result known when the
-    value is made can be stored there in advance."""
+    value's own __dict__, so it is freed with the value, and an equal
+    but distinct value computes its own.  This is the package's one
+    memo: the invariants and incidence tables of each complex, its chain
+    data, and the transpose and the reduction of each GF(2) matrix are
+    kept this way.  The wrapper's ``key`` names the result in the
+    value's __dict__, so a result known when the value is made can be
+    stored there in advance.  Its ``cache_info()`` counts the calls
+    that computed a result (``misses``) and those that found one kept
+    (``hits``), over the process."""
     key = f"{fn.__module__}.{fn.__qualname__}"
+    counts = [0, 0]  # hits, misses
 
     @wraps(fn)
     def once(value: V) -> T:
         memo = value.__dict__
-        if key not in memo:
-            memo[key] = fn(value)
-        return memo[key]
+        if key in memo:
+            counts[0] += 1
+            return memo[key]
+        counts[1] += 1
+        result = memo[key] = fn(value)
+        return result
 
     once.key = key
+    once.cache_info = lambda: CacheInfo(*counts)
     return once

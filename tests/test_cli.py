@@ -356,6 +356,16 @@ def test_usage_error_is_one_line(argv, files, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
+    [("bounds", "--chi"), ("bounds", "--chi", "--surface", "T2")],
+    ids=["at-the-end", "before-another-option"],
+)
+def test_an_option_without_its_value_is_named(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: option --chi needs a value\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
     [("homology", "--", "-t.cplx"), ("--", "homology", "-t.cplx")],
     ids=["after-command", "before-command"],
 )

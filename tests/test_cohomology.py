@@ -91,9 +91,12 @@ def test_cup_is_bilinear(torus):
 def test_cup_rejects_wrong_degree_or_complex(torus, sphere):
     two = Cochain(2, gf2.Gf2Vector(len(torus.simplices(2)), 0))
     one = Cochain(1, gf2.Gf2Vector(len(torus.simplices(1)), 0))
-    with pytest.raises(PreconditionError):
-        cup_1_1(torus, two, one)
-    with pytest.raises(PreconditionError):
+    # a degree-2 cochain with one value per edge is refused by its degree
+    two_on_edges = Cochain(2, one.values)
+    for alpha, beta in ((two, one), (two_on_edges, one), (one, two_on_edges)):
+        with pytest.raises(PreconditionError, match="defined for degree-1 cochains"):
+            cup_1_1(torus, alpha, beta)
+    with pytest.raises(PreconditionError, match="indexed against a different complex"):
         cup_1_1(sphere, one, one)
     with pytest.raises(PreconditionError):
         cochain_support(sphere, one)
@@ -283,7 +286,6 @@ def test_each_matrix_is_reduced_once(monkeypatch):
     the column reduction of d2, the row reduction of delta^1, runs
     exactly once for the Betti numbers, H^1 and H_2 together."""
     k = ct.parse_complex_text(ct.bundled_text("genus2_10")).complex()
-    chain_data.cache_clear()  # an equal complex may have left its matrices there
     original = gf2.Gf2Matrix._reduction
     reduced = []  # (matrix, reduction), one entry per cache miss
 

@@ -376,6 +376,29 @@ def test_apply_move_refuses_a_record_of_the_wrong_shape(kind, simplices, message
     assert "\n" not in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "field, value, shape",
+    [
+        ("simplices", (1,), "a tuple of simplices, each a tuple of string labels"),
+        ("simplices", None, "a tuple of simplices, each a tuple of string labels"),
+        ("simplices", (("a", "b", 3),), "a tuple of simplices, each a tuple of string labels"),
+        ("aux", [("a", "b", "c")], "a tuple of simplices, each a tuple of string labels"),
+        ("after_f", (3, 3, "0"), "a tuple of ints"),
+        ("before_f", [3, 3, 1], "a tuple of ints"),
+        ("kind", ["simplex-excision"], "a string"),
+    ],
+)
+def test_apply_move_refuses_a_record_whose_fields_no_move_makes(field, value, shape):
+    """A record whose fields have types no move gives them, such as an
+    int where a simplex belongs, is refused in one line before it is
+    replayed."""
+    k = ct.build_complex([("a", "b", "c")])
+    fields = {"kind": EXCISION, "simplices": (("a", "b", "c"),), "before_f": k.f_vector}
+    fields.update({"after_f": (3, 3, 0), field: value})
+    with pytest.raises(PreconditionError, match=f"^a move record's {field} must be {shape}$"):
+        ct.apply_move(k, MoveRecord(**fields))
+
+
 def two_spheres():
     """The boundaries of two disjoint tetrahedra: each is a 2-cycle."""
     return ct.build_complex(

@@ -67,6 +67,33 @@ def test_vector_validation():
         a + b
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: gf2.Gf2Vector.from_support(3, [0, 3]), "support index 3 out of range"),
+        (lambda: gf2.Gf2Vector.from_support(3, [-1]), "support index -1 out of range"),
+        (lambda: gf2.Gf2Matrix(-1, 0, ()), "matrix dimensions must be >= 0"),
+        (lambda: gf2.Gf2Matrix(0, -1, ()), "matrix dimensions must be >= 0"),
+        (
+            lambda: gf2.Gf2Matrix.from_row_vectors([gf2.Gf2Vector(2), gf2.Gf2Vector(3)]),
+            "mixed vector lengths",
+        ),
+        (
+            lambda: gf2.Gf2Matrix.from_row_vectors([gf2.Gf2Vector(2)], 3),
+            "declared length does not match vectors",
+        ),
+        (lambda: gf2.Gf2Matrix.identity(2) @ gf2.Gf2Matrix.identity(3), "inner dimensions differ"),
+        (
+            lambda: gf2.subspace_intersection([gf2.Gf2Vector(2, 1)], [gf2.Gf2Vector(3, 1)]),
+            "ambient dimensions differ",
+        ),
+    ],
+)
+def test_shape_errors_name_their_cause(build, message):
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        build()
+
+
 # ---------------------------------------------------------------------
 # matrices
 

@@ -85,9 +85,10 @@ def test_boundary_matrices_keep_their_columns_as_transpose():
 
 
 def test_boundary_matrices_are_freed_without_the_collector():
-    """Only a matrix points at its kept transpose: with the cyclic
-    collector off, both go as soon as the complex and the cache let go."""
-    chain_data.cache_clear()
+    """Chain data does not point back at its complex, nor a transpose at
+    its matrix: with the cyclic collector off, the chain data, its
+    matrices and their transposes all go with the last reference to the
+    complex, with no cache to clear."""
     gc.disable()
     try:
         k = ct.build_complex([("a", "b", "c", "d"), ("c", "d", "e")])
@@ -96,8 +97,9 @@ def test_boundary_matrices_are_freed_without_the_collector():
         refs = [weakref.ref(m) for m in matrices]
         refs += [weakref.ref(m.transpose()) for m in matrices]
         refs.append(weakref.ref(data))
-        del k, data, matrices
-        chain_data.cache_clear()
+        del data, matrices
+        assert all(r() is not None for r in refs)  # the complex keeps them
+        del k
         assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()
@@ -242,6 +244,13 @@ def test_homology_profile(side_sphere):
     assert tuple(len(r) for r in profile.cycle_representatives) == profile.betti
 
 
+def test_homology_profile_refuses_representatives_that_miss_a_class(side_sphere, monkeypatch):
+    basis = homology.homology_basis
+    monkeypatch.setattr(homology, "homology_basis", lambda k, n: basis(k, n)[:-1])
+    with pytest.raises(InconsistencyError, match="representative count disagrees"):
+        homology_profile(side_sphere)
+
+
 def test_chain_vector_roundtrip(torus):
     data = chain_data(torus)
     chain = (("1", "2"), ("3", "5"))
@@ -313,21 +322,32 @@ def test_h2_epi_witness_failure_cases():
 
 
 def test_chain_data_is_cached(torus):
-    assert chain_data(torus) is chain_data(torus)
+    """Kept on the complex, and counted as the benchmark's tracer reads
+    it: a first call is a miss, a repeat is a hit."""
+    k = ct.SimplicialComplex(torus.by_dim)
+    before = chain_data.cache_info()
+    assert isinstance(before.hits, int) and isinstance(before.misses, int)
+    data = chain_data(k)
+    first = chain_data.cache_info()
+    assert (first.hits, first.misses) == (before.hits, before.misses + 1)
+    assert chain_data(k) is data
+    second = chain_data.cache_info()
+    assert (second.hits, second.misses) == (first.hits + 1, first.misses)
 
 
 def test_repeated_reductions_keep_memory_flat():
-    """20 different reductions: the chain-data cache and the number of
-    live complexes stop growing once the cache is full."""
-    entries, live = [], []
+    """20 different reductions: the numbers of live chain data and live
+    complexes stop growing after the first few."""
+    data, live = [], []
     for seed in range(20):
         k, surface, _ = randomized_thickening(seed)
         ct.reduce_to_certificate(k, surface)
         del k
         gc.collect()
-        entries.append(chain_data.cache_info().currsize)
-        live.append(sum(isinstance(o, ct.SimplicialComplex) for o in gc.get_objects()))
-    assert max(entries[10:]) <= max(entries[:10]) <= chain_data.cache_info().maxsize
+        objects = gc.get_objects()
+        data.append(sum(isinstance(o, homology.ChainData) for o in objects))
+        live.append(sum(isinstance(o, ct.SimplicialComplex) for o in objects))
+    assert max(data[10:]) <= max(data[:10])
     assert max(live[10:]) <= max(live[:10])
 
 
@@ -360,6 +380,5 @@ def test_invariants_are_kept_per_complex_object(torus, monkeypatch):
     assert len(calls) == 2 * first
     ref = weakref.ref(k)
     del k
-    chain_data.cache_clear()  # its bounded cache holds the last complexes too
     gc.collect()
     assert ref() is None

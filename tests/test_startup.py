@@ -114,6 +114,37 @@ def test_each_command_runs_only_the_layers_it_uses(command, tmp_path):
     assert set(seen["ran"]) == {"cli", "errors", "value"} | layers
 
 
+TRACER = SRC.parent / "perfbench" / "tracer.py"
+
+# what the benchmark's tracer does before it runs a command: import the
+# CLI and chain_data, then wrap each function it times where the
+# covertype modules bind it; prints the names it could not find
+TRACER_PROBE = """
+import importlib.util, json, sys
+
+spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+from covertype import cli
+from covertype.homology import chain_data
+print(json.dumps(tracer.Recorder().install("covertype")))
+"""
+
+
+def test_the_benchmark_tracer_finds_every_function_it_times():
+    """A refactor that moves or renames a traced function breaks every
+    traced benchmark run; the tracer is read, never changed."""
+    # -B writes no bytecode beside the tracer
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", TRACER_PROBE, str(TRACER)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        check=True,
+    )
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
 # every name the package exported when it imported its modules eagerly
 EXPORTS = {
     "bounds": ("SurfaceClass", "covering_type", "delta", "rho", "surface_from_name"),

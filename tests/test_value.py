@@ -10,6 +10,7 @@ import covertype as ct
 from covertype.complexes import COLLAPSE
 from covertype.errors import DomainError, InconsistencyError, PreconditionError
 from covertype.homology import chain_data
+from covertype.value import per_complex
 
 # each factory builds a fresh instance; one of its fields is named
 VALUES = {
@@ -139,12 +140,24 @@ def test_constructors_check_their_fields(build, error):
         build()
 
 
-def test_equal_complexes_share_chain_data_but_keep_their_own_invariants(torus):
+def test_equal_complexes_keep_their_own_chain_data_and_invariants(torus, monkeypatch):
+    """An equal but distinct complex builds its own chain data and runs
+    its own reductions: nothing derived is shared by equality."""
+    reductions = []
+    original = ct.Gf2Matrix._reduction
+    monkeypatch.setattr(
+        ct.Gf2Matrix, "_reduction", per_complex(lambda m: reductions.append(m) or original(m))
+    )
     a = ct.SimplicialComplex(torus.by_dim)
     b = ct.SimplicialComplex(torus.by_dim)
-    assert chain_data(a) is chain_data(b)
+    assert chain_data(a) is chain_data(a)
+    assert chain_data(b) == chain_data(b) and chain_data(a) is not chain_data(b)
     tensor = ct.pairing_tensor(a)
     assert ct.pairing_tensor(a) is tensor
+    ran = len(reductions)
+    assert ran > 0
     assert ct.pairing_tensor(b) == tensor and ct.pairing_tensor(b) is not tensor
+    assert len(reductions) == 2 * ran
+    assert not {id(m) for m in reductions[:ran]} & {id(m) for m in reductions[ran:]}
     # the kept values are outside equality and hashing
     assert a == b and hash(a) == hash(b) == hash(ct.SimplicialComplex(torus.by_dim))
