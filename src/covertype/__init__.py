@@ -79,10 +79,8 @@ _EXPORTS = {
         "property_a_witness",
     ),
     "complexes": (
-        "MoveRecord",
         "Simplex",
         "SimplicialComplex",
-        "apply_move",
         "build_complex",
         "collapse_free_face",
         "contract_edge",
@@ -90,6 +88,7 @@ _EXPORTS = {
         "make_simplex",
         "remove_two_simplex",
     ),
+    "engine": ("MoveRecord", "apply_move"),
     "fileformat": (
         "ComplexFile",
         "complex_to_text",

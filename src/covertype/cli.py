@@ -33,7 +33,7 @@ import types
 
 # the layers load on first use (see covertype/__init__.py), so each
 # command runs only the modules it calls into
-from . import bounds, cohomology, complexes, fileformat, homology, reduction, surfaces
+from . import bounds, cohomology, complexes, engine, fileformat, homology, reduction, surfaces
 from .errors import (
     CoveringTypeError,
     DomainError,
@@ -184,9 +184,9 @@ def cmd_reduce(args) -> tuple[int, list]:
         ("surface", surface.name),
         ("betti", trace.betti_steps[-1]),
         ("skeleton_f_vector", trace.initial_f),
-        ("excisions", counts.get(complexes.EXCISION, 0)),
-        ("collapses", counts.get(complexes.COLLAPSE, 0)),
-        ("contractions", counts.get(complexes.CONTRACTION, 0)),
+        ("excisions", counts.get(engine.EXCISION, 0)),
+        ("collapses", counts.get(engine.COLLAPSE, 0)),
+        ("contractions", counts.get(engine.CONTRACTION, 0)),
         ("final_f_vector", certificate.f_vector),
         ("chi", certificate.chi),
         ("rho", certificate.rho),

@@ -5,17 +5,14 @@ a complex stores its simplices grouped by dimension with every group
 sorted, which fixes a canonical order for each iteration, tie-break and
 search in the package.  Complexes are immutable.
 
-The four structural moves (excision, elementary collapse, edge
-contraction, vertex identification) each have one implementation, a
-method of engine.WorkingComplex that changes it in place.  The
-module-level move functions here are their entry points: they change a
-WorkingComplex in place and return it, or run the move on a working
-copy of a frozen complex and return its freeze() snapshot, each with a
-MoveRecord, so a reduction pipeline can be audited and replayed.  They
+The module-level move functions here are the entry points of the four
+structural moves (excision, elementary collapse, edge contraction,
+vertex identification).  Each move, its MoveRecord and the replay of a
+record belong to engine; an entry point changes a WorkingComplex in
+place and returns it, or runs the move on a working copy of a frozen
+complex and returns its freeze() snapshot, each with the record.  They
 look the engine up when they run, so a command that moves nothing never
-loads it.  apply_move replays a record through its kind's entry point,
-which checks the move's evidence as it did when the move was made, and
-compares what the replay records with the whole record.
+loads it.
 
 Invariants of a complex (Betti numbers, property A, the surface check)
 and its incidence tables are computed once per complex object and kept
@@ -25,44 +22,28 @@ on it, by value.per_complex.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from . import engine
-from .errors import (
-    InconsistencyError,
-    MalformedInputError,
-    NotFoundError,
-    PreconditionError,
-)
+from .errors import MalformedInputError, NotFoundError, PreconditionError
 from .value import Value, per_complex
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from .engine import WorkingComplex
+    from .engine import MoveRecord, WorkingComplex
 
 __all__ = [
     "Simplex",
     "SimplicialComplex",
-    "MoveRecord",
     "make_simplex",
     "build_complex",
     "remove_two_simplex",
     "collapse_free_face",
     "contract_edge",
     "identify_vertices",
-    "apply_move",
-    "COLLAPSE",
-    "CONTRACTION",
-    "EXCISION",
-    "IDENTIFICATION",
 ]
 
 Simplex = tuple[str, ...]
-
-COLLAPSE = "collapse"
-CONTRACTION = "edge-contraction"
-EXCISION = "simplex-excision"
-IDENTIFICATION = "vertex-identification"
 
 
 def check_label(label: str) -> str:
@@ -230,30 +211,6 @@ def build_complex(maximal_simplices: Iterable[Iterable[str]]) -> SimplicialCompl
 # structural moves
 
 
-class MoveRecord(Value):
-    """One audited structural move: what kind, which simplices, and the
-    f-vectors before and after.  ``aux`` carries optional evidence, e.g.
-    the support of the 2-cycle that justified an excision, which the
-    move checks when it is given."""
-
-    kind: str
-    simplices: tuple[Simplex, ...]
-    before_f: tuple[int, ...]
-    after_f: tuple[int, ...]
-    aux: tuple[Simplex, ...] = ()
-
-
-def _in_place(
-    complex_: SimplicialComplex | WorkingComplex, move: Callable[..., MoveRecord], *args
-) -> tuple[SimplicialComplex | WorkingComplex, MoveRecord]:
-    """Run a WorkingComplex move on a working complex, returned changed,
-    or on a working copy of a frozen complex, whose snapshot is returned."""
-    working = engine.WorkingComplex
-    work = complex_ if isinstance(complex_, working) else working(complex_)
-    record = move(work, *args)
-    return (work if work is complex_ else work.freeze()), record
-
-
 def remove_two_simplex(
     complex_: SimplicialComplex | WorkingComplex,
     triangle: Iterable[str],
@@ -261,14 +218,14 @@ def remove_two_simplex(
 ) -> tuple[SimplicialComplex | WorkingComplex, MoveRecord]:
     """Delete one 2-simplex that lies in no higher simplex (its edges
     and vertices stay)."""
-    return _in_place(complex_, engine.WorkingComplex._excise, triangle, aux)
+    return engine._in_place(complex_, engine.WorkingComplex._excise, triangle, aux)
 
 
 def collapse_free_face(
     complex_: SimplicialComplex | WorkingComplex, face: Iterable[str]
 ) -> tuple[SimplicialComplex | WorkingComplex, MoveRecord]:
     """Elementary collapse: remove a free face and its unique coface."""
-    return _in_place(complex_, engine.WorkingComplex._collapse, face)
+    return engine._in_place(complex_, engine.WorkingComplex._collapse, face)
 
 
 def contract_edge(
@@ -282,7 +239,7 @@ def contract_edge(
     for complexes with cup-product regularity, so that case raises
     PropertyAViolationError.
     """
-    return _in_place(complex_, engine.WorkingComplex._contract, edge)
+    return engine._in_place(complex_, engine.WorkingComplex._contract, edge)
 
 
 def identify_vertices(
@@ -294,63 +251,4 @@ def identify_vertices(
     simplices merge except the two vertices, so the quotient is again a
     simplicial complex with one vertex fewer.
     """
-    return _in_place(complex_, engine.WorkingComplex._identify, v, w)
-
-
-# each kind's number of simplices in its record, and its entry point,
-# called with what the record names
-_REPLAY: dict[str, tuple[int, Callable[[SimplicialComplex, MoveRecord], tuple]]] = {
-    EXCISION: (1, lambda k, r: remove_two_simplex(k, r.simplices[0], r.aux)),
-    COLLAPSE: (2, lambda k, r: collapse_free_face(k, r.simplices[0])),
-    CONTRACTION: (1, lambda k, r: contract_edge(k, r.simplices[0])),
-    IDENTIFICATION: (2, lambda k, r: identify_vertices(k, r.simplices[0][0], r.simplices[1][0])),
-}
-
-
-def _is_simplices(group) -> bool:
-    return isinstance(group, tuple) and all(
-        isinstance(s, tuple) and all(isinstance(v, str) for v in s) for s in group
-    )
-
-
-def _is_f_vector(f) -> bool:
-    return isinstance(f, tuple) and all(type(n) is int for n in f)
-
-
-# what each field of a record holds when a move made it
-_FIELD_SHAPES = (
-    ("kind", lambda kind: isinstance(kind, str), "a string"),
-    ("simplices", _is_simplices, "a tuple of simplices, each a tuple of string labels"),
-    ("aux", _is_simplices, "a tuple of simplices, each a tuple of string labels"),
-    ("before_f", _is_f_vector, "a tuple of ints"),
-    ("after_f", _is_f_vector, "a tuple of ints"),
-)
-
-
-def apply_move(complex_: SimplicialComplex, record: MoveRecord) -> SimplicialComplex:
-    """Replay a recorded move through its kind's entry point, which
-    checks the move's preconditions and evidence; the record's fields
-    must have the shapes a move gives them, the complex must match the
-    record's before state, and the replay must make the record itself."""
-    for name, fits, shape in _FIELD_SHAPES:
-        if not fits(getattr(record, name)):
-            raise PreconditionError(f"a move record's {name} must be {shape}")
-    if complex_.f_vector != record.before_f:
-        raise PreconditionError(
-            f"complex f-vector {complex_.f_vector} does not match the record's {record.before_f}"
-        )
-    if record.kind not in _REPLAY:
-        raise PreconditionError(f"unknown move kind {record.kind!r}")
-    count, replay = _REPLAY[record.kind]
-    if len(record.simplices) != count:
-        raise PreconditionError(
-            f"a record of kind {record.kind!r} needs simplices of length {count},"
-            f" not {len(record.simplices)}"
-        )
-    if not all(record.simplices):
-        raise PreconditionError(f"a record of kind {record.kind!r} names an empty simplex")
-    new, replayed = replay(complex_, record)
-    if replayed != record:
-        fields = [n for n in record._fields if getattr(replayed, n) != getattr(record, n)]
-        raise InconsistencyError(f"replayed {record.kind} differs from its record in {', '.join(fields)}")
-    return new
+    return engine._in_place(complex_, engine.WorkingComplex._identify, v, w)

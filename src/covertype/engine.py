@@ -1,4 +1,4 @@
-"""The in-place engine of the four structural moves.
+"""The structural moves: how each runs, what it records, and its replay.
 
 WorkingComplex is a mutable complex on which excision, elementary
 collapse, edge contraction and vertex identification each have their one
@@ -6,12 +6,14 @@ implementation, a method that changes it in place and returns the
 MoveRecord; the last two share _glue, which renames one vertex's star.
 Each method also states the one check of its move's evidence: the
 excision cycle given as aux, the collapse witness, the path test of a
-contraction and the link test of an identification.  So the reduction
-pipeline and apply_move, which replays a record, run the same checks.
-The module-level move functions in complexes are the entry points: they
-run these methods on a WorkingComplex, or on a working copy of a frozen
-complex.  The reduction pipeline runs each stage on one WorkingComplex
-and freezes it only at the stage's end.
+contraction and the link test of an identification.  The module-level
+move functions in complexes are the entry points: they run these
+methods on a WorkingComplex, or on a working copy of a frozen complex
+(_in_place).  apply_move replays a record through its kind's entry
+point, so the reduction pipeline and a replay run the same checks, and
+compares what the replay records with the whole record.  The reduction
+pipeline runs each stage on one WorkingComplex and freezes it only at
+the stage's end.
 
 Only the commands that move simplices (reduce and construct-m2) run this
 module; the rest never compile it.
@@ -21,27 +23,45 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
-from .complexes import (
-    COLLAPSE,
-    CONTRACTION,
-    EXCISION,
-    IDENTIFICATION,
-    MoveRecord,
-    Simplex,
-    SimplicialComplex,
-    check_label,
-    make_simplex,
-)
+from . import complexes
+from .complexes import Simplex, SimplicialComplex, check_label, make_simplex
 from .errors import (
     InconsistencyError,
     NotFoundError,
     PreconditionError,
     PropertyAViolationError,
 )
+from .value import Value
 
-__all__ = ["WorkingComplex"]
+__all__ = [
+    "WorkingComplex",
+    "MoveRecord",
+    "apply_move",
+    "COLLAPSE",
+    "CONTRACTION",
+    "EXCISION",
+    "IDENTIFICATION",
+]
+
+COLLAPSE = "collapse"
+CONTRACTION = "edge-contraction"
+EXCISION = "simplex-excision"
+IDENTIFICATION = "vertex-identification"
+
+
+class MoveRecord(Value):
+    """One audited structural move: what kind, which simplices, and the
+    f-vectors before and after.  ``aux`` carries optional evidence, e.g.
+    the support of the 2-cycle that justified an excision, which the
+    move checks when it is given."""
+
+    kind: str
+    simplices: tuple[Simplex, ...]
+    before_f: tuple[int, ...]
+    after_f: tuple[int, ...]
+    aux: tuple[Simplex, ...] = ()
 
 
 class WorkingComplex:
@@ -256,3 +276,72 @@ class WorkingComplex:
         before = self.f_vector
         self._glue(keep, drop)
         return MoveRecord(IDENTIFICATION, ((keep,), (drop,)), before, self.f_vector)
+
+
+def _in_place(
+    complex_: SimplicialComplex | WorkingComplex, move: Callable[..., MoveRecord], *args
+) -> tuple[SimplicialComplex | WorkingComplex, MoveRecord]:
+    """Run a WorkingComplex move on a working complex, returned changed,
+    or on a working copy of a frozen complex, whose snapshot is returned."""
+    work = complex_ if isinstance(complex_, WorkingComplex) else WorkingComplex(complex_)
+    record = move(work, *args)
+    return (work if work is complex_ else work.freeze()), record
+
+
+# each kind's number of simplices in its record, and its entry point,
+# called with what the record names
+_REPLAY: dict[str, tuple[int, Callable[[SimplicialComplex, MoveRecord], tuple]]] = {
+    EXCISION: (1, lambda k, r: complexes.remove_two_simplex(k, r.simplices[0], r.aux)),
+    COLLAPSE: (2, lambda k, r: complexes.collapse_free_face(k, r.simplices[0])),
+    CONTRACTION: (1, lambda k, r: complexes.contract_edge(k, r.simplices[0])),
+    IDENTIFICATION: (2, lambda k, r: complexes.identify_vertices(k, r.simplices[0][0], r.simplices[1][0])),
+}
+
+
+def _is_simplices(group) -> bool:
+    return isinstance(group, tuple) and all(
+        isinstance(s, tuple) and all(isinstance(v, str) for v in s) for s in group
+    )
+
+
+def _is_f_vector(f) -> bool:
+    return isinstance(f, tuple) and all(type(n) is int for n in f)
+
+
+# what each field of a record holds when a move made it
+_FIELD_SHAPES = (
+    ("kind", lambda kind: isinstance(kind, str), "a string"),
+    ("simplices", _is_simplices, "a tuple of simplices, each a tuple of string labels"),
+    ("aux", _is_simplices, "a tuple of simplices, each a tuple of string labels"),
+    ("before_f", _is_f_vector, "a tuple of ints"),
+    ("after_f", _is_f_vector, "a tuple of ints"),
+)
+
+
+def apply_move(complex_: SimplicialComplex, record: MoveRecord) -> SimplicialComplex:
+    """Replay a recorded move through its kind's entry point, which
+    checks the move's preconditions and evidence; the record's fields
+    must have the shapes a move gives them, the complex must match the
+    record's before state, and the replay must make the record itself."""
+    for name, fits, shape in _FIELD_SHAPES:
+        if not fits(getattr(record, name)):
+            raise PreconditionError(f"a move record's {name} must be {shape}")
+    if complex_.f_vector != record.before_f:
+        raise PreconditionError(
+            f"complex f-vector {complex_.f_vector} does not match the record's {record.before_f}"
+        )
+    if record.kind not in _REPLAY:
+        raise PreconditionError(f"unknown move kind {record.kind!r}")
+    count, replay = _REPLAY[record.kind]
+    if len(record.simplices) != count:
+        raise PreconditionError(
+            f"a record of kind {record.kind!r} needs simplices of length {count},"
+            f" not {len(record.simplices)}"
+        )
+    if not all(record.simplices):
+        raise PreconditionError(f"a record of kind {record.kind!r} names an empty simplex")
+    new, replayed = replay(complex_, record)
+    if replayed != record:
+        fields = [n for n in record._fields if getattr(replayed, n) != getattr(record, n)]
+        raise InconsistencyError(f"replayed {record.kind} differs from its record in {', '.join(fields)}")
+    return new

@@ -78,10 +78,6 @@ class Gf2Vector(Value):
             bits |= 1 << i
         return cls(length, bits)
 
-    @classmethod
-    def unit(cls, length: int, i: int) -> "Gf2Vector":
-        return cls.from_support(length, (i,))
-
     def __add__(self, other: "Gf2Vector") -> "Gf2Vector":
         if self.length != other.length:
             raise PreconditionError("vector lengths differ")
@@ -98,14 +94,8 @@ class Gf2Vector(Value):
     def is_zero(self) -> bool:
         return self.bits == 0
 
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
     def support(self) -> tuple[int, ...]:
         return tuple(_bit_indices(self.bits))
-
-    def coords(self) -> list[int]:
-        return [(self.bits >> i) & 1 for i in range(self.length)]
 
     def __str__(self) -> str:
         return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.length))
@@ -132,38 +122,8 @@ class Gf2Matrix(Value):
     def zero(cls, rows: int, cols: int) -> "Gf2Matrix":
         return cls(rows, cols, (0,) * rows)
 
-    @classmethod
-    def identity(cls, n: int) -> "Gf2Matrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def from_row_vectors(cls, vectors: Sequence[Gf2Vector], length: int | None = None) -> "Gf2Matrix":
-        if vectors:
-            width = vectors[0].length
-            for v in vectors:
-                if v.length != width:
-                    raise PreconditionError("mixed vector lengths")
-            if length is not None and length != width:
-                raise PreconditionError("declared length does not match vectors")
-        else:
-            width = 0 if length is None else length
-        return cls(len(vectors), width, tuple(v.bits for v in vectors))
-
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError((i, j))
-        return (self.row_bits[i] >> j) & 1
-
     def row(self, i: int) -> Gf2Vector:
         return Gf2Vector(self.cols, self.row_bits[i])
-
-    def column(self, j: int) -> Gf2Vector:
-        if not 0 <= j < self.cols:
-            raise IndexError(j)
-        bits = 0
-        for i, r in enumerate(self.row_bits):
-            bits |= ((r >> j) & 1) << i
-        return Gf2Vector(self.rows, bits)
 
     @classmethod
     def with_transpose(

@@ -6,11 +6,14 @@ collapses free faces, and contracts maximal edges, logging every move
 with the Betti numbers after each step.  The final complex is pure
 2-dimensional with no free faces, so counting arguments on its f-vector
 certify the vertex lower bound rho for anything homotopy equivalent to
-the surface.
+the surface.  The final complex's cup squares then decide whether the
+surface is orientable, and a declared class of the other kind is
+refused.
 
-Each stage applies its moves in place to a WorkingComplex and takes a
-frozen SimplicialComplex snapshot only at its end; the next stage starts
-from that snapshot.  Every recorded Betti entry is exact: it comes from
+Each stage applies its moves in place to a WorkingComplex through the
+entry points in complexes, which return the engine's MoveRecords, and
+takes a frozen SimplicialComplex snapshot only at its end; the next
+stage starts from that snapshot.  Every recorded Betti entry is exact: it comes from
 a rank update or a homotopy equivalence whose witness the engine checks
 as it makes the move, the same check apply_move runs on a replay.
 
@@ -47,15 +50,14 @@ snapshot it was handed, e.g. the contraction gate those of collapse.
 from __future__ import annotations
 
 from .bounds import SurfaceClass, rho, surfaces_with_betti
-from .cohomology import has_property_A
+from .cohomology import has_property_A, pairing_tensor
 from .complexes import (
-    MoveRecord,
     SimplicialComplex,
     collapse_free_face,
     contract_edge,
     remove_two_simplex,
 )
-from .engine import WorkingComplex
+from .engine import MoveRecord, WorkingComplex
 from .errors import (
     CoveringTypeError,
     InconsistencyError,
@@ -323,8 +325,12 @@ def reduce_to_certificate(
     """Run the full pipeline against a declared surface class.
 
     Stages: homology-check (Betti numbers must match the surface),
-    excision, collapse, contraction, certificate.  Any stage error is
-    re-raised as StageError naming the stage.
+    excision, collapse, contraction, certificate.  The certificate
+    stage also reads the cup squares of the final complex, which keeps
+    H^1 and the cup products into H^2: they vanish exactly when the
+    surface is orientable, so a declared class of the other kind is
+    refused.  Any stage error is re-raised as StageError naming the
+    stage.
     """
     stage = "homology-check"
     try:
@@ -358,6 +364,15 @@ def reduce_to_certificate(
             )
         if not trace.property_a_final:
             raise InconsistencyError("final complex lost cup-product regularity")
+        # a -> a.a is linear over GF(2) and vanishes exactly on the
+        # orientable surfaces; property A has built the tensor already
+        tensor = pairing_tensor(final)
+        squares = any(any(tensor.entries[i][i]) for i in range(tensor.b1))
+        if squares == surface.orientable:
+            found, kind = ("a", "orientable") if squares else ("no", "non-orientable")
+            raise PreconditionError(
+                f"the final complex has {found} nonzero cup square, which rules out the {kind} {surface.name}"
+            )
         if final.f_vector[0] > complex_.f_vector[0]:
             raise InconsistencyError("reduction increased the vertex count")
         certificate = BoundCertificate(chi, final.f_vector, rho(chi))

@@ -264,18 +264,10 @@ def build_nine_vertex_m2(triangulation: SimplicialComplex) -> SimplicialComplex:
                 raise PreconditionError(
                     f"the remaining 8 vertices must induce a complete graph; {a},{b} missing"
                 )
-    fill = None
-    # a vertex's neighbours are exactly the vertices of its link
-    for w in triangulation._adjacency[v]:
-        for w2 in triangulation._adjacency[v2]:
-            if complexes.make_simplex((w, w2)) in triangulation:
-                fill = (w, w2)
-                break
-        if fill:
-            break
-    if fill is None:
-        raise PreconditionError("no edge joins the links of the two degree-4 vertices")
-    result = pinch_and_fill(triangulation, v, v2, fill[0], fill[1])
+    # the links of v and v2 lie among the other 8 vertices, which are
+    # pairwise adjacent: the smallest vertex of each spans the fill edge
+    w, w2 = triangulation._adjacency[v][0], triangulation._adjacency[v2][0]
+    result = pinch_and_fill(triangulation, v, v2, w, w2)
     if len(result.vertices) != 9:
         raise InconsistencyError("construction did not land on 9 vertices")
     if homology.betti_numbers(result) != (1, 4, 1):

@@ -11,8 +11,8 @@ import random
 
 import covertype as ct
 from covertype import gf2
-from covertype.complexes import COLLAPSE, CONTRACTION, EXCISION
-from oracles import free_faces_reference, replay_reference
+from covertype.engine import COLLAPSE, CONTRACTION, EXCISION
+from oracles import free_faces_reference, matrix_from_vectors, replay_reference
 
 SURFACE_FILES = (
     ("sphere_4", ct.SurfaceClass(True, 0)),
@@ -172,7 +172,7 @@ def randomized_thickening(seed):
 
 def independent(vectors, length):
     """True when the vectors of GF(2)^length are linearly independent."""
-    return gf2.rank(gf2.Gf2Matrix.from_row_vectors(vectors, length)) == len(vectors)
+    return gf2.rank(matrix_from_vectors(vectors, length)) == len(vectors)
 
 
 def random_small_complex(rng, labels="abcdefghijkl", largest=4):

@@ -9,16 +9,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from covertype.complexes import (
-    COLLAPSE,
-    CONTRACTION,
-    EXCISION,
-    IDENTIFICATION,
-    MoveRecord,
-    SimplicialComplex,
-    check_label,
-    make_simplex,
-)
+from covertype.complexes import SimplicialComplex, check_label, make_simplex
+from covertype.engine import COLLAPSE, CONTRACTION, EXCISION, IDENTIFICATION, MoveRecord
 from covertype.errors import (
     InconsistencyError,
     NotFoundError,
@@ -351,6 +343,21 @@ def vector_from_coords(coords):
     return Gf2Vector(len(coords), sum((c & 1) << i for i, c in enumerate(coords)))
 
 
+def vector_coords(v):
+    """The coordinates of a vector, in order, as 0s and 1s."""
+    return [(v.bits >> i) & 1 for i in range(v.length)]
+
+
+def vector_weight(v):
+    """The number of nonzero coordinates."""
+    return v.bits.bit_count()
+
+
+def unit_vector(length, i):
+    """The vector of the given length with its one 1 at i."""
+    return Gf2Vector.from_support(length, (i,))
+
+
 def vector_dot(a, b):
     """The GF(2) inner product of two vectors of one length."""
     if a.length != b.length:
@@ -358,14 +365,44 @@ def vector_dot(a, b):
     return (a.bits & b.bits).bit_count() & 1
 
 
+def matrix_from_vectors(vectors, length=None):
+    """The Gf2Matrix whose rows are the vectors, all of one length; with
+    no vectors, length (default 0) gives the column count."""
+    if vectors:
+        width = vectors[0].length
+        for v in vectors:
+            if v.length != width:
+                raise PreconditionError("mixed vector lengths")
+        if length is not None and length != width:
+            raise PreconditionError("declared length does not match vectors")
+    else:
+        width = 0 if length is None else length
+    return Gf2Matrix(len(vectors), width, tuple(v.bits for v in vectors))
+
+
 def matrix_from_rows(rows):
     """The Gf2Matrix with the parities of the entries of the rows."""
-    return Gf2Matrix.from_row_vectors([vector_from_coords(r) for r in rows])
+    return matrix_from_vectors([vector_from_coords(r) for r in rows])
 
 
 def matrix_from_columns(vectors):
     """The Gf2Matrix whose columns are the vectors."""
-    return Gf2Matrix.from_row_vectors(vectors).transpose()
+    return matrix_from_vectors(vectors).transpose()
+
+
+def identity_matrix(n):
+    """The n x n identity matrix."""
+    return Gf2Matrix(n, n, tuple(1 << i for i in range(n)))
+
+
+def matrix_entry(m, i, j):
+    """Entry (i, j) of a matrix."""
+    return (m.row_bits[i] >> j) & 1
+
+
+def matrix_column(m, j):
+    """Column j of a matrix, as a vector."""
+    return Gf2Vector(m.rows, sum(matrix_entry(m, i, j) << i for i in range(m.rows)))
 
 
 def edge_triangle_count(complex_, edge):

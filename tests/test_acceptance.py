@@ -21,7 +21,7 @@ from covertype.cohomology import (
     cup_1_1,
     h1_cocycle_basis,
 )
-from covertype.complexes import COLLAPSE, CONTRACTION, EXCISION
+from covertype.engine import COLLAPSE, CONTRACTION, EXCISION
 from covertype.homology import chain_data, chain_vector, homology_basis
 from covertype.reduction import reduce_to_certificate
 from covertype.surfaces import SurfaceClass, classify_surface, check_closed_surface

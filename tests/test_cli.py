@@ -239,6 +239,19 @@ def test_reduce_reports_failing_stage(files, tmp_path, capsys):
     assert err.startswith("error[homology-check]:")
 
 
+@pytest.mark.parametrize(
+    "name, declared, found",
+    [("torus_7", "N2", "no nonzero cup square"), ("klein_bottle_8", "T2", "a nonzero cup square")],
+)
+def test_reduce_refuses_a_class_of_the_other_orientability(name, declared, found, files, tmp_path, capsys):
+    out_path = tmp_path / "r.cplx"
+    code, out, err = run(capsys, "--machine", "reduce", files[name], out_path, "--surface", declared)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error[certificate]: the final complex has {found}, which rules out")
+    assert len(err.splitlines()) == 1
+    assert not out_path.exists()
+
+
 def test_reduce_rejects_surplus_homology(files, tmp_path, capsys):
     # two hollow spheres sharing a face: b2 = 2 and nothing to excise
     skeleton = ct.load_bundled("side_sphere_5").skeleton(2)

@@ -9,15 +9,15 @@ import random
 import pytest
 
 import covertype as ct
-from covertype.complexes import (
+from covertype.complexes import SimplicialComplex
+from covertype.engine import (
     COLLAPSE,
     CONTRACTION,
     EXCISION,
     IDENTIFICATION,
     MoveRecord,
-    SimplicialComplex,
+    WorkingComplex,
 )
-from covertype.engine import WorkingComplex
 from covertype.errors import (
     InconsistencyError,
     MalformedInputError,
@@ -312,6 +312,17 @@ def test_identify_vertices_preconditions():
     solid = ct.build_complex([("a", "b", "c", "d"), ("e",)])
     with pytest.raises(PreconditionError):
         ct.identify_vertices(solid, "a", "e")  # dimension 3
+
+
+def test_glue_refuses_to_merge_simplices(monkeypatch):
+    """Without the link test, the glue itself refuses to merge two
+    simplices: here the edges bc and ab of a path through b."""
+    path = ct.build_complex([("a", "b"), ("b", "c")])
+    monkeypatch.setattr(WorkingComplex, "_neighbours", lambda self, vertex: set())
+    with pytest.raises(
+        InconsistencyError, match=r"^gluing 'c' to 'a' would merge \('b', 'c'\) with \('a', 'b'\)$"
+    ):
+        ct.identify_vertices(path, "a", "c")
 
 
 def test_apply_move_replays_sequences():

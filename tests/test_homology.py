@@ -29,7 +29,15 @@ from covertype.errors import (
 )
 
 from helpers import dunce_hat, independent, random_small_complex, randomized_thickening
-from oracles import betti_oracle, kernel_modulo_image_reference, transpose_reference
+from oracles import (
+    betti_oracle,
+    kernel_modulo_image_reference,
+    matrix_column,
+    transpose_reference,
+    unit_vector,
+    vector_coords,
+    vector_weight,
+)
 
 
 def test_boundary_shapes_and_identity(torus):
@@ -48,12 +56,12 @@ def test_boundary_of_triangle():
     k = ct.build_complex([("a", "b", "c")])
     data = chain_data(k)
     d2 = data.boundary_matrix(2)
-    v = d2 @ gf2.Gf2Vector.unit(1, 0)
+    v = d2 @ unit_vector(1, 0)
     assert chain_from_vector(data, 1, v) == (("a", "b"), ("a", "c"), ("b", "c"))
     edge = ct.build_complex([("a", "b")])
     d1 = chain_data(edge).boundary_matrix(1)
     assert (d1.rows, d1.cols) == (2, 1)
-    assert d1.column(0).coords() == [1, 1]
+    assert vector_coords(matrix_column(d1, 0)) == [1, 1]
 
 
 def test_boundaries_of_tetrahedron():
@@ -61,12 +69,12 @@ def test_boundaries_of_tetrahedron():
     hollow = solid.skeleton(2)
     d2 = chain_data(hollow).boundary_matrix(2)
     assert (d2.rows, d2.cols) == (6, 4)
-    assert all(d2.column(j).weight() == 3 for j in range(4))
+    assert all(vector_weight(matrix_column(d2, j)) == 3 for j in range(4))
     # the unique 2-cycle of the boundary sphere is the sum of all faces
-    assert [v.coords() for v in gf2.kernel_basis(d2)] == [[1, 1, 1, 1]]
+    assert [vector_coords(v) for v in gf2.kernel_basis(d2)] == [[1, 1, 1, 1]]
     # and it is exactly what the solid's top boundary map hits
     d3 = chain_data(solid).boundary_matrix(3)
-    assert [v.coords() for v in gf2.image_basis(d3)] == [[1, 1, 1, 1]]
+    assert [vector_coords(v) for v in gf2.image_basis(d3)] == [[1, 1, 1, 1]]
 
 
 def _bundled_and_random():
@@ -255,7 +263,7 @@ def test_chain_vector_roundtrip(torus):
     data = chain_data(torus)
     chain = (("1", "2"), ("3", "5"))
     v = chain_vector(data, 1, chain)
-    assert v.weight() == 2
+    assert vector_weight(v) == 2
     assert chain_from_vector(data, 1, v) == chain
     with pytest.raises(PreconditionError):
         chain_vector(data, 1, [("1", "2", "3")])
@@ -319,6 +327,22 @@ def test_h2_epi_witness_failure_cases():
     assert h2_epi_witness(hollow, sub, z) is None
     with pytest.raises(PreconditionError):
         h2_epi_witness(hollow, sub, [("a", "b", "c")])  # not a cycle
+
+
+def test_h2_epi_witness_refuses_a_subcomplex_outside_the_complex(side_sphere):
+    stray = ct.build_complex([("1", "2", "9")])
+    with pytest.raises(PreconditionError, match=r"^\('1', '2', '9'\) is not a 2-simplex of the ambient"):
+        h2_epi_witness(side_sphere, stray, ())
+
+
+def test_h2_epi_witness_refuses_a_witness_outside_the_subcomplex(side_sphere, monkeypatch):
+    """A solve that answers 0 leaves the cycle itself as the witness,
+    and its triangle 123 is not in the subcomplex."""
+    sub, _ = ct.remove_two_simplex(side_sphere.skeleton(2), ("1", "2", "3"))
+    z = (("1", "2", "3"), ("1", "2", "5"), ("1", "3", "5"), ("2", "3", "5"))
+    monkeypatch.setattr(gf2, "solve", lambda m, b: gf2.Gf2Vector(m.cols))
+    with pytest.raises(InconsistencyError, match="^witness cycle escaped the subcomplex$"):
+        h2_epi_witness(side_sphere, sub, z)
 
 
 def test_chain_data_is_cached(torus):

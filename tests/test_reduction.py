@@ -7,8 +7,7 @@ import pytest
 
 import covertype as ct
 from covertype import reduction
-from covertype.complexes import COLLAPSE, CONTRACTION, EXCISION, MoveRecord, apply_move
-from covertype.engine import WorkingComplex
+from covertype.engine import COLLAPSE, CONTRACTION, EXCISION, MoveRecord, WorkingComplex, apply_move
 from covertype.reduction import (
     BoundCertificate,
     ReductionTrace,
@@ -210,6 +209,48 @@ def test_certificates_on_bundled_surfaces(name, surface):
     assert cert.chi == surface.chi
     assert cert.f_vector == k.f_vector
     assert cert.f_vector[0] >= cert.rho
+
+
+def _has_nonzero_cup_square(k):
+    """Whether a -> a.a is nonzero on H^1, read off the diagonal of the
+    pairing tensor; a -> a.a is linear over GF(2), so a basis decides it."""
+    tensor = ct.pairing_tensor(k)
+    return any(any(tensor.entries[i][i]) for i in range(tensor.b1))
+
+
+def test_cup_squares_vanish_exactly_on_the_orientable_surfaces():
+    """Wu's formula on every bundled closed surface: the cup squares
+    vanish exactly when the triangle walk finds an orientation."""
+    closed = [ct.load_bundled(n) for n in ct.bundled_names()]
+    closed = [k for k in closed if ct.check_closed_surface(k).verdict]
+    assert len(closed) == 6
+    for k in closed:
+        assert _has_nonzero_cup_square(k) != ct.orientable(k)
+
+
+@pytest.mark.parametrize(
+    "name, declared, message",
+    [
+        (
+            "torus_7",
+            SurfaceClass(False, 2),
+            "the final complex has no nonzero cup square, which rules out the non-orientable N_2",
+        ),
+        (
+            "klein_bottle_8",
+            SurfaceClass(True, 1),
+            "the final complex has a nonzero cup square, which rules out the orientable T^2",
+        ),
+    ],
+)
+def test_certificate_refuses_a_class_the_cup_squares_rule_out(name, declared, message):
+    """The declared class has the input's Betti numbers but the other
+    orientability."""
+    with pytest.raises(StageError) as info:
+        reduce_to_certificate(ct.load_bundled(name), declared)
+    assert info.value.stage == "certificate"
+    assert isinstance(info.value.cause, PreconditionError)
+    assert str(info.value.cause) == message
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -161,10 +161,8 @@ EXPORTS = {
         "property_a_witness",
     ),
     "complexes": (
-        "MoveRecord",
         "Simplex",
         "SimplicialComplex",
-        "apply_move",
         "build_complex",
         "collapse_free_face",
         "contract_edge",
@@ -172,6 +170,7 @@ EXPORTS = {
         "make_simplex",
         "remove_two_simplex",
     ),
+    "engine": ("MoveRecord", "apply_move"),
     "errors": (
         "CoveringTypeError",
         "DomainError",

@@ -325,6 +325,71 @@ def test_build_nine_vertex_m2_needs_ten_vertices(genus2):
         build_nine_vertex_m2(eleven)
 
 
+def test_build_nine_vertex_m2_needs_a_closed_surface(genus2):
+    holed = ct.build_complex(genus2.simplices(2)[1:])
+    assert len(holed.vertices) == 10
+    with pytest.raises(PreconditionError, match="^input is not a closed surface$"):
+        build_nine_vertex_m2(holed)
+
+
+def _pass_for_genus_two(monkeypatch, genus2):
+    """Let build_nine_vertex_m2 take any input for a closed orientable
+    genus-2 surface.  On 10 vertices such a surface has 36 edges, so no
+    two degree-4 pairs fit, and the pair's two disjoint links cover the
+    other 8 vertices with 8 edges, leaving 28 = C(8, 2) among them: the
+    later checks need inputs that are not surfaces."""
+    report = check_closed_surface(genus2)
+    monkeypatch.setattr(surfaces, "check_closed_surface", lambda k: report)
+    monkeypatch.setattr(surfaces, "classify_surface", lambda k: SurfaceClass(True, 2))
+
+
+def test_build_nine_vertex_m2_needs_a_unique_pair(genus2, monkeypatch):
+    _pass_for_genus_two(monkeypatch, genus2)
+    # two disjoint complete graphs on 5 vertices: every vertex has
+    # degree 4, and any two from different graphs form a pair
+    two_k5 = ct.build_complex(
+        itertools.chain(itertools.combinations("abcde", 2), itertools.combinations("fghij", 2))
+    )
+    unique = r"^degree-4 vertex pair is not unique; candidates: \[\('a', 'f'\)"
+    with pytest.raises(PreconditionError, match=unique):
+        build_nine_vertex_m2(two_k5)
+
+
+def test_build_nine_vertex_m2_needs_a_complete_graph_on_the_others(genus2, monkeypatch):
+    _pass_for_genus_two(monkeypatch, genus2)
+    # without ab and its triangles, i and j keep their degree 4
+    no_ab = ct.build_complex(t for t in genus2.simplices(2) if not {"a", "b"} <= set(t))
+    assert len(no_ab.vertices) == 10
+    with pytest.raises(
+        PreconditionError, match="^the remaining 8 vertices must induce a complete graph; a,b missing$"
+    ):
+        build_nine_vertex_m2(no_ab)
+
+
+@pytest.mark.parametrize(
+    "result, message",
+    [
+        (lambda k: k, "construction did not land on 9 vertices"),
+        (lambda k: ct.load_bundled("m2_homotopy_9").skeleton(1), "construction lost the genus-2 homology"),
+    ],
+    ids=["ten-vertices", "graph"],
+)
+def test_build_nine_vertex_m2_checks_what_the_pinch_made(result, message, genus2, monkeypatch):
+    monkeypatch.setattr(surfaces, "pinch_and_fill", lambda k, *vertices: result(k))
+    with pytest.raises(InconsistencyError, match=f"^{message}$"):
+        build_nine_vertex_m2(genus2)
+
+
+def test_pinch_and_fill_checks_the_betti_numbers(monkeypatch):
+    k = ct.build_complex([("v", "w", "x"), ("p", "q", "r"), ("q", "w")])
+    betti = ct.betti_numbers
+    monkeypatch.setattr(surfaces.homology, "betti_numbers", lambda c: betti(c) if c is k else (1, 1, 0))
+    with pytest.raises(
+        InconsistencyError, match=r"^pinch-and-fill changed the Betti numbers \(1, 0, 0\) -> \(1, 1, 0\)$"
+    ):
+        pinch_and_fill(k, "v", "p", "w", "q")
+
+
 def test_build_nine_vertex_m2_needs_the_degree_four_pair(genus2):
     # the flip of ab keeps a 10-vertex genus-2 surface, but its new edge
     # ei takes i, one of the two degree-4 vertices, up to degree 5

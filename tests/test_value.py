@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 
 import covertype as ct
-from covertype.complexes import COLLAPSE
+from covertype.engine import COLLAPSE
 from covertype.errors import DomainError, InconsistencyError, PreconditionError
 from covertype.homology import chain_data
 from covertype.value import per_complex
