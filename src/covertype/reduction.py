@@ -13,9 +13,9 @@ refused.
 Each stage applies its moves in place to a WorkingComplex through the
 entry points in complexes, which return the engine's MoveRecords, and
 takes a frozen SimplicialComplex snapshot only at its end; the next
-stage starts from that snapshot.  Every recorded Betti entry is exact: it comes from
-a rank update or a homotopy equivalence whose witness the engine checks
-as it makes the move, the same check apply_move runs on a replay.
+stage starts from that snapshot.  Every recorded Betti entry is exact by a rule
+below, stated once in _betti_after and checked by every ReductionTrace: a
+witness the engine checks as it makes the move, as apply_move does on a replay.
 
 - Collapse of (f, c), dim f = k: c has no coface and f has no
   codimension-1 coface but c, so row f of d_(k+1) is a single 1 in
@@ -30,8 +30,8 @@ as it makes the move, the same check apply_move runs on a replay.
   edge path joins a and b without ab.  So no vertex neighbours both,
   no two simplices merge, and collapsing the contractible edge is a
   homotopy equivalence: the Betti numbers stay, as for a collapse.
-- Seam: betti_numbers of the snapshot must equal the tracked numbers,
-  else InconsistencyError.
+- Seam: betti_numbers of the snapshot, recomputed from scratch, must equal
+  the tracked numbers (the trace against the complex), else InconsistencyError.
 
 The excisions are read off one canonical basis, the reduced-echelon
 rows r_0, r_1, ... of im d_3 in the ambient complex, pivots ascending:
@@ -57,7 +57,7 @@ from .complexes import (
     contract_edge,
     remove_two_simplex,
 )
-from .engine import MoveRecord, WorkingComplex
+from .engine import COLLAPSE, CONTRACTION, EXCISION, MoveRecord, WorkingComplex
 from .errors import (
     CoveringTypeError,
     InconsistencyError,
@@ -81,18 +81,31 @@ __all__ = [
     "collapse_all",
     "eliminate_maximal_edges",
     "excise_to_surface_homology",
-    "certify_lower_bound",
     "reduce_to_certificate",
 ]
 
 
+def _betti_after(move: MoveRecord, betti: tuple[int, ...]) -> tuple[int, ...]:
+    """The Betti numbers after a reduction's move: an excision lowers b2 by one; a
+    collapse or contraction keeps them, except that the top one, then 0, goes
+    when the dimension drops.  A reduction makes no other kind of move."""
+    if move.kind == EXCISION:
+        return betti[:2] + (betti[2] - 1,) + betti[3:]
+    if move.kind not in (COLLAPSE, CONTRACTION):
+        raise InconsistencyError(f"a reduction makes no {move.kind!r} move")
+    if any(betti[len(move.after_f) :]):
+        raise InconsistencyError(f"{move.kind} of {move.simplices[0]} dropped a dimension with homology")
+    return betti[: len(move.after_f)]
+
+
 class ReductionTrace(Value):
-    """Replayable log of a reduction run.
+    """Replayable log of a reduction run, which must compose: f-vectors
+    from initial_f through the moves to final_f, and each Betti entry the
+    _betti_after of the one before it.
 
     betti_steps[0] holds the Betti numbers of the initial complex and
-    betti_steps[i] those after the i-th move, so the audit data always
-    has one more entry than there are moves.  property_a_final is None
-    for the excision stage, which does not compute it.
+    betti_steps[i] those after the i-th move (one more entry than there
+    are moves).  property_a_final is None for the excision stage.
     """
 
     initial_f: tuple[int, ...]
@@ -104,6 +117,15 @@ class ReductionTrace(Value):
     def _check(self) -> None:
         if len(self.betti_steps) != len(self.moves) + 1:
             raise InconsistencyError("trace needs one Betti entry per step plus the initial one")
+        ends = (self.initial_f, *(m.after_f for m in self.moves))
+        starts = (*(m.before_f for m in self.moves), self.final_f)
+        if ends != starts:
+            raise InconsistencyError("traces do not compose: f-vectors disagree at the seam")
+        for move, before, after in zip(self.moves, self.betti_steps, self.betti_steps[1:]):
+            if _betti_after(move, before) != after:
+                raise InconsistencyError(
+                    f"{move.kind} of {move.simplices[0]} takes the Betti numbers {before} to {after}"
+                )
 
     def move_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -113,8 +135,6 @@ class ReductionTrace(Value):
 
 
 def _concat_traces(first: ReductionTrace, second: ReductionTrace) -> ReductionTrace:
-    if first.final_f != second.initial_f:
-        raise InconsistencyError("traces do not compose: f-vectors disagree at the seam")
     return ReductionTrace(
         first.initial_f,
         second.final_f,
@@ -140,9 +160,9 @@ class _Run:
     def betti(self) -> tuple[int, ...]:
         return self.betti_steps[-1]
 
-    def _record(self, record: MoveRecord, betti: tuple[int, ...]) -> None:
+    def _record(self, record: MoveRecord) -> None:
         self.moves.append(record)
-        self.betti_steps.append(betti)
+        self.betti_steps.append(_betti_after(record, self.betti))
         self._snapshot = None
 
     def snapshot(self) -> SimplicialComplex:
@@ -170,30 +190,18 @@ class _Run:
         data = chain_data(ambient)
         for z in basis:
             cycle = chain_from_vector(data, 2, z)
-            _, record = remove_two_simplex(self.work, cycle[0], aux=cycle)
-            b0, b1, b2 = self.betti
-            self._record(record, (b0, b1, b2 - 1))
-
-    def _record_equivalence(self, record: MoveRecord) -> None:
-        """Record a homotopy equivalence: the Betti numbers stay, except
-        that the top one, then 0, goes when the dimension drops."""
-        betti = self.betti
-        if any(betti[self.work.dim + 1 :]):
-            raise InconsistencyError(
-                f"{record.kind} of {record.simplices[0]} dropped a dimension with homology"
-            )
-        self._record(record, betti[: self.work.dim + 1])
+            self._record(remove_two_simplex(self.work, cycle[0], aux=cycle)[1])
 
     def collapse(self) -> None:
         """Collapse free faces until none remain, smallest pair first."""
         while (pair := self.work.smallest_free_face()) is not None:
-            self._record_equivalence(collapse_free_face(self.work, pair[0])[1])
+            self._record(collapse_free_face(self.work, pair[0])[1])
 
     def contract(self) -> None:
         """Contract maximal edges, smallest first, and re-collapse after
         each, until none remain."""
         while (edge := self.work.smallest_maximal_edge()) is not None:
-            self._record_equivalence(contract_edge(self.work, edge)[1])
+            self._record(contract_edge(self.work, edge)[1])
             self.collapse()
 
 
@@ -259,10 +267,6 @@ def excise_to_surface_homology(complex_: SimplicialComplex) -> tuple[SimplicialC
     run = _Run(skeleton, (b0, b1, b2 + len(basis)))
     run.excise(complex_, basis)
     current = run.snapshot()
-    if run.betti != ambient_betti[:3]:
-        raise InconsistencyError(
-            f"excised skeleton has Betti numbers {run.betti}, ambient complex {ambient_betti[:3]}"
-        )
     generator = homology_basis(complex_, 2)[0]
     if h2_epi_witness(complex_, current, generator) is None:
         raise InconsistencyError(
@@ -319,6 +323,32 @@ class BoundCertificate(Value):
             )
 
 
+def _certify(
+    final: SimplicialComplex, property_a: bool | None, surface: SurfaceClass, vertices: int
+) -> BoundCertificate:
+    """The certificate stage: a pure 2-dimensional final complex with no free faces,
+    property A, cup squares that allow the surface and at most the input's vertices;
+    BoundCertificate checks the surface's chi against the final f-vector."""
+    if any(len(s) != 3 for s in final.maximal_simplices()):
+        raise InconsistencyError("final complex is not pure 2-dimensional")
+    if final.free_faces():
+        raise InconsistencyError("final complex still has free faces")
+    if not property_a:
+        raise InconsistencyError("final complex lost cup-product regularity")
+    # a -> a.a is linear over GF(2) and vanishes exactly on the
+    # orientable surfaces; property A has built the tensor already
+    tensor = pairing_tensor(final)
+    squares = any(any(tensor.entries[i][i]) for i in range(tensor.b1))
+    if squares == surface.orientable:
+        found, kind = ("a", "orientable") if squares else ("no", "non-orientable")
+        raise PreconditionError(
+            f"the final complex has {found} nonzero cup square, which rules out the {kind} {surface.name}"
+        )
+    if final.f_vector[0] > vertices:
+        raise InconsistencyError("reduction increased the vertex count")
+    return BoundCertificate(surface.chi, final.f_vector, rho(surface.chi))
+
+
 def reduce_to_certificate(
     complex_: SimplicialComplex, surface: SurfaceClass
 ) -> tuple[SimplicialComplex, ReductionTrace, BoundCertificate]:
@@ -353,36 +383,7 @@ def reduce_to_certificate(
         trace = _concat_traces(trace, contract_trace)
 
         stage = "certificate"
-        if any(len(s) != 3 for s in final.maximal_simplices()):
-            raise InconsistencyError("final complex is not pure 2-dimensional")
-        if final.free_faces():
-            raise InconsistencyError("final complex still has free faces")
-        chi = final.euler_characteristic()
-        if chi != surface.chi:
-            raise InconsistencyError(
-                f"final chi {chi} differs from the surface's {surface.chi}"
-            )
-        if not trace.property_a_final:
-            raise InconsistencyError("final complex lost cup-product regularity")
-        # a -> a.a is linear over GF(2) and vanishes exactly on the
-        # orientable surfaces; property A has built the tensor already
-        tensor = pairing_tensor(final)
-        squares = any(any(tensor.entries[i][i]) for i in range(tensor.b1))
-        if squares == surface.orientable:
-            found, kind = ("a", "orientable") if squares else ("no", "non-orientable")
-            raise PreconditionError(
-                f"the final complex has {found} nonzero cup square, which rules out the {kind} {surface.name}"
-            )
-        if final.f_vector[0] > complex_.f_vector[0]:
-            raise InconsistencyError("reduction increased the vertex count")
-        certificate = BoundCertificate(chi, final.f_vector, rho(chi))
+        certificate = _certify(final, trace.property_a_final, surface, complex_.f_vector[0])
     except CoveringTypeError as err:
         raise StageError(stage, err) from err
     return final, trace, certificate
-
-
-def certify_lower_bound(
-    complex_: SimplicialComplex, surface: SurfaceClass
-) -> BoundCertificate:
-    """Reduce the complex and return just the resulting certificate."""
-    return reduce_to_certificate(complex_, surface)[2]

@@ -1,7 +1,7 @@
 """Hypothesis property tests (derandomized, no example database): the
-file format round-trips, arbitrary file bytes never crash the CLI, and
+file format round-trips, arbitrary file bytes never crash the CLI,
 random thickenings certify their base surface with every step replayed
-from scratch."""
+from scratch, and their traces refuse any one corrupted entry."""
 
 from __future__ import annotations
 
@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 
 import covertype as ct
 from covertype.cli import main
-from covertype.errors import MalformedInputError
+from covertype.engine import MoveRecord
+from covertype.errors import InconsistencyError, MalformedInputError
 from covertype.fileformat import complex_to_text, parse_complex_text
+from covertype.reduction import ReductionTrace
 
 from helpers import randomized_thickening, replay_from_scratch
 
@@ -117,3 +119,39 @@ def test_random_thickenings_certify_their_surface(seed):
     assert certificate.f_vector[0] >= certificate.rho
     assert trace.property_a_final
     assert replay_from_scratch(k, trace) == final
+
+
+def _bumped(entries, i):
+    return entries[:i] + (entries[i] + 1,) + entries[i + 1 :]
+
+
+@derandomized(25)
+@given(st.integers(min_value=50, max_value=10**6), st.data())
+def test_random_thickening_traces_refuse_one_corrupted_entry(seed, data):
+    """Rebuild the pipeline's trace with one f-vector or Betti entry
+    raised by one: the trace's own seam checks refuse it.  A Betti entry
+    is drawn only when there are moves to check it against."""
+    k, surface, log = randomized_thickening(seed)
+    _, trace, _ = ct.reduce_to_certificate(k, surface)
+    fields = {name: getattr(trace, name) for name in ReductionTrace._fields}
+    assert ReductionTrace(**fields) == trace
+    moves, steps = trace.moves, trace.betti_steps
+    where = [("initial_f", None), ("final_f", None)]
+    where += [(side, i) for i in range(len(moves)) for side in ("before_f", "after_f")]
+    where += [("betti_steps", j) for j in range(len(steps)) if moves]
+    name, at = data.draw(st.sampled_from(where), label="field")
+    if name in ("initial_f", "final_f"):
+        f = fields[name]
+        fields[name] = _bumped(f, data.draw(st.integers(0, len(f) - 1), label="entry"))
+    elif name == "betti_steps":
+        b = steps[at]
+        bumped = _bumped(b, data.draw(st.integers(0, len(b) - 1), label="entry"))
+        fields[name] = steps[:at] + (bumped,) + steps[at + 1 :]
+    else:
+        move = moves[at]
+        f = getattr(move, name)
+        f = _bumped(f, data.draw(st.integers(0, len(f) - 1), label="entry"))
+        corrupt = {n: getattr(move, n) for n in MoveRecord._fields} | {name: f}
+        fields["moves"] = moves[:at] + (MoveRecord(**corrupt),) + moves[at + 1 :]
+    with pytest.raises(InconsistencyError):
+        ReductionTrace(**fields)

@@ -11,7 +11,8 @@ from covertype.engine import COLLAPSE, CONTRACTION, EXCISION, MoveRecord, Workin
 from covertype.reduction import (
     BoundCertificate,
     ReductionTrace,
-    certify_lower_bound,
+    _certify,
+    _concat_traces,
     collapse_all,
     eliminate_maximal_edges,
     excise_to_surface_homology,
@@ -164,9 +165,74 @@ def test_excision_requires_b2_equal_one(side_sphere):
         excise_to_surface_homology(crowded)
 
 
-def test_trace_concatenation_checks_seams():
-    with pytest.raises(InconsistencyError):
+def test_trace_needs_one_betti_entry_per_move_plus_the_initial_one():
+    with pytest.raises(InconsistencyError, match="one Betti entry per step"):
         ReductionTrace((4, 6, 4), (4, 6, 4), (), ((1, 0, 1), (1, 0, 1)), True)
+
+
+# ---------------------------------------------------------------------
+# seams: a trace refuses moves whose f-vectors or Betti numbers do not
+# follow from the entry before them
+
+
+def _rebuilt(trace, **fields):
+    """The trace with the given fields replaced."""
+    values = {name: getattr(trace, name) for name in ReductionTrace._fields}
+    return ReductionTrace(**{**values, **fields})
+
+
+@pytest.fixture
+def flap_trace(torus):
+    """Two collapses that take a flap off the torus: b = (1, 2, 1) throughout."""
+    _, trace = collapse_all(attach_flap(torus, ("1", "2"), "z"))
+    assert trace.move_counts() == {COLLAPSE: 2}
+    return trace
+
+
+def test_seam_refuses_moves_that_do_not_compose(flap_trace):
+    first = flap_trace.moves[0]
+    assert _rebuilt(flap_trace) == flap_trace
+    with pytest.raises(InconsistencyError, match="traces do not compose"):
+        _rebuilt(flap_trace, moves=(first, first))
+
+
+def test_seam_refuses_a_trace_that_ends_elsewhere_than_its_last_move(flap_trace):
+    with pytest.raises(InconsistencyError, match="traces do not compose"):
+        _rebuilt(flap_trace, final_f=flap_trace.initial_f)
+
+
+def test_seam_refuses_stage_traces_that_disagree(side_sphere, flap_trace):
+    _, excision = excise_to_surface_homology(side_sphere)
+    with pytest.raises(InconsistencyError, match="traces do not compose"):
+        _concat_traces(excision, flap_trace)
+
+
+def test_seam_refuses_an_excision_that_keeps_b2(side_sphere):
+    _, trace = excise_to_surface_homology(side_sphere)
+    assert trace.betti_steps == ((1, 0, 2), (1, 0, 1))
+    with pytest.raises(InconsistencyError, match=r"takes the Betti numbers \(1, 0, 2\) to \(1, 0, 2\)"):
+        _rebuilt(trace, betti_steps=((1, 0, 2), (1, 0, 2)))
+
+
+def test_seam_refuses_a_collapse_that_changes_b1(flap_trace):
+    with pytest.raises(InconsistencyError, match=r"takes the Betti numbers \(1, 2, 1\) to \(1, 1, 1\)"):
+        _rebuilt(flap_trace, betti_steps=((1, 2, 1), (1, 1, 1), (1, 1, 1)))
+
+
+def test_seam_refuses_a_collapse_that_drops_a_dimension_with_homology():
+    _, trace = collapse_all(ct.build_complex([("a", "b", "c", "d")]))
+    first = trace.moves[0]
+    assert (first.before_f, first.after_f) == ((4, 6, 4, 1), (4, 6, 3))
+    with pytest.raises(InconsistencyError, match="dropped a dimension with homology"):
+        _rebuilt(trace, moves=(first,), final_f=first.after_f, betti_steps=((1, 0, 0, 1), (1, 0, 0)))
+
+
+def test_seam_refuses_an_identification_in_a_reduction_trace():
+    two_edges = ct.build_complex([("a", "b"), ("c", "d")])
+    _, move = ct.identify_vertices(two_edges, "a", "c")
+    # Betti entries an equivalence would keep, so only the kind can be refused
+    with pytest.raises(InconsistencyError, match="a reduction makes no 'vertex-identification' move"):
+        ReductionTrace(move.before_f, move.after_f, (move,), ((2, 0), (2, 0)), None)
 
 
 # ---------------------------------------------------------------------
@@ -174,11 +240,52 @@ def test_trace_concatenation_checks_seams():
 
 
 def test_certificate_side_sphere(side_sphere):
-    cert = certify_lower_bound(side_sphere, SurfaceClass(True, 0))
+    _, _, cert = reduce_to_certificate(side_sphere, SurfaceClass(True, 0))
     assert cert == BoundCertificate(chi=2, f_vector=(5, 9, 6), rho=4)
     assert cert.triangles_cover_edges
     assert cert.simple_graph_bound
     assert cert.euler_vertex_bound
+
+
+def test_certify_accepts_a_closed_surface(torus):
+    assert _certify(torus, True, SurfaceClass(True, 1), 7) == BoundCertificate(0, (7, 21, 14), 7)
+
+
+@pytest.mark.parametrize(
+    "final, property_a, surface, vertices, error, message",
+    [
+        pytest.param(
+            [("a", "b", "c"), ("c", "d")], True, SurfaceClass(True, 0), 4,
+            InconsistencyError, "final complex is not pure 2-dimensional", id="not-pure",
+        ),
+        pytest.param(
+            [("a", "b", "c")], True, SurfaceClass(True, 0), 3,
+            InconsistencyError, "final complex still has free faces", id="free-faces",
+        ),
+        pytest.param(
+            "torus_7", False, SurfaceClass(True, 1), 7,
+            InconsistencyError, "final complex lost cup-product regularity", id="no-property-a",
+        ),
+        pytest.param(
+            "torus_7", True, SurfaceClass(False, 2), 7,
+            PreconditionError, "the final complex has no nonzero cup square", id="cup-squares",
+        ),
+        pytest.param(
+            "torus_7", True, SurfaceClass(True, 1), 6,
+            InconsistencyError, "reduction increased the vertex count", id="more-vertices",
+        ),
+        pytest.param(
+            "torus_7", True, SurfaceClass(True, 0), 7,
+            InconsistencyError, "does not have the declared chi", id="chi",
+        ),
+    ],
+)
+def test_certify_refuses_a_final_complex_that_breaks_a_rule(
+    final, property_a, surface, vertices, error, message
+):
+    complex_ = ct.load_bundled(final) if isinstance(final, str) else ct.build_complex(final)
+    with pytest.raises(error, match=message):
+        _certify(complex_, property_a, surface, vertices)
 
 
 def test_certificate_m2_homotopy(m2_homotopy):
@@ -306,6 +413,26 @@ def test_excision_refuses_evidence_that_is_no_cycle(torus, monkeypatch):
     monkeypatch.setattr(reduction, "image_basis", one_bit_off)
     with pytest.raises(StageError, match="is not a 2-cycle on the current triangles") as info:
         reduce_to_certificate(k, SurfaceClass(True, 1))
+    assert info.value.stage == "excision"
+
+
+def _torus_with_two_tetrahedra(torus):
+    k = glue_tetrahedron(torus, ("1", "2", "4"), "x")
+    return glue_tetrahedron(k, ("3", "5", "6"), "y")
+
+
+def test_excision_refuses_a_surplus_cycle_search_that_disagrees(torus, monkeypatch):
+    """The from-scratch search must pick row 0 of the im d_3 basis."""
+    monkeypatch.setattr(reduction, "surplus_cycle", lambda k, triangles: None)
+    with pytest.raises(StageError, match="the surplus-cycle search and the im d_3 basis disagree") as info:
+        reduce_to_certificate(_torus_with_two_tetrahedra(torus), SurfaceClass(True, 1))
+    assert info.value.stage == "excision"
+
+
+def test_excision_refuses_a_skeleton_without_the_ambient_h2_generator(torus, monkeypatch):
+    monkeypatch.setattr(reduction, "h2_epi_witness", lambda k, sub, z: None)
+    with pytest.raises(StageError, match="no cycle inside the excised skeleton represents") as info:
+        reduce_to_certificate(_torus_with_two_tetrahedra(torus), SurfaceClass(True, 1))
     assert info.value.stage == "excision"
 
 

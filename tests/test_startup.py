@@ -211,7 +211,6 @@ EXPORTS = {
     "reduction": (
         "BoundCertificate",
         "ReductionTrace",
-        "certify_lower_bound",
         "collapse_all",
         "eliminate_maximal_edges",
         "excise_to_surface_homology",
