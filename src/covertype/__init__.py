@@ -107,12 +107,10 @@ _EXPORTS = {
     ),
     "homology": (
         "ChainData",
-        "HomologyProfile",
         "betti_numbers",
         "chain_data",
         "h2_epi_witness",
         "homology_basis",
-        "homology_profile",
         "surplus_cycle",
     ),
     "reduction": (

@@ -41,6 +41,10 @@ class Cochain(Value):
     degree: int
     values: gf2.Gf2Vector
 
+    def _check(self) -> None:
+        if self.degree < 0:
+            raise PreconditionError(f"a cochain has no degree {self.degree}")
+
 
 def coboundary_matrix(complex_: SimplicialComplex, n: int) -> gf2.Gf2Matrix:
     """Matrix of delta^n: C^n -> C^(n+1), the transpose of d_(n+1)."""
@@ -88,8 +92,6 @@ def cup_1_1(complex_: SimplicialComplex, alpha: Cochain, beta: Cochain) -> Cocha
 def h1_cocycle_basis(complex_: SimplicialComplex) -> tuple[Cochain, ...]:
     """Cocycle representatives of a basis of H^1, deterministically
     chosen from the canonical kernel of delta^1 modulo coboundaries."""
-    if not complex_.simplices(1):
-        return ()
     reps = gf2._kernel_modulo_image(coboundary_matrix(complex_, 1), coboundary_matrix(complex_, 0))
     return tuple(Cochain(1, v) for v in reps)
 

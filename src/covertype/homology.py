@@ -27,17 +27,15 @@ from itertools import combinations
 from . import gf2
 from .complexes import Simplex, SimplicialComplex, make_simplex, missing_facet
 from .errors import InconsistencyError, NotFoundError, PreconditionError
-from .value import Value, per_complex
+from .value import per_complex
 
 __all__ = [
     "ChainData",
-    "HomologyProfile",
     "chain_data",
     "chain_vector",
     "chain_from_vector",
     "betti_numbers",
     "homology_basis",
-    "homology_profile",
     "surplus_cycle",
     "h2_epi_witness",
 ]
@@ -140,49 +138,13 @@ def homology_basis(complex_: SimplicialComplex, n: int) -> tuple[Chain, ...]:
 
     Walks the canonical kernel basis of d_n and keeps each vector that
     is independent modulo the boundaries collected so far.  In degree 0
-    that keeps the smallest vertex of each component, read off the
-    edges by union-find.
+    every vertex is a cycle and the boundaries are the even vertex sets
+    of each component, so that keeps the smallest vertex of each
+    component, ascending.  Outside 0..dim, d_n has no kernel.
     """
-    if n < 0 or n > complex_.dim:
-        return ()
     data = chain_data(complex_)
-    if n == 0:
-        return tuple((v,) for v in _component_minima(data))
     reps = gf2._kernel_modulo_image(data.boundary_matrix(n), data.boundary_matrix(n + 1))
     return tuple(chain_from_vector(data, n, v) for v in reps)
-
-
-def _component_minima(data: ChainData) -> list[Simplex]:
-    """The smallest vertex of each connected component, ascending: a
-    union-find over the edges in which the smaller root stays."""
-    parent = list(range(data.count(0)))
-
-    def root(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    index = data.index[0]
-    for a, b in data.simplices[1] if data.count(1) else ():
-        ra, rb = root(index[(a,)]), root(index[(b,)])
-        parent[max(ra, rb)] = min(ra, rb)
-    return [s for v, s in enumerate(data.simplices[0]) if parent[v] == v]
-
-
-class HomologyProfile(Value):
-    """Betti numbers together with chosen cycle representatives."""
-
-    betti: tuple[int, ...]
-    cycle_representatives: tuple[tuple[Chain, ...], ...]
-
-
-def homology_profile(complex_: SimplicialComplex) -> HomologyProfile:
-    betti = betti_numbers(complex_)
-    reps = tuple(homology_basis(complex_, n) for n in range(len(betti)))
-    if tuple(len(r) for r in reps) != betti:
-        raise InconsistencyError("representative count disagrees with the Betti numbers")
-    return HomologyProfile(betti, reps)
 
 
 def surplus_cycle(

@@ -88,8 +88,11 @@ __all__ = [
 def _betti_after(move: MoveRecord, betti: tuple[int, ...]) -> tuple[int, ...]:
     """The Betti numbers after a reduction's move: an excision lowers b2 by one; a
     collapse or contraction keeps them, except that the top one, then 0, goes
-    when the dimension drops.  A reduction makes no other kind of move."""
+    when the dimension drops.  An excision lowers b2 only with the cycle it
+    breaks as evidence, and a reduction makes no other kind of move."""
     if move.kind == EXCISION:
+        if not move.aux:
+            raise InconsistencyError(f"excision of {move.simplices[0]} records no cycle")
         return betti[:2] + (betti[2] - 1,) + betti[3:]
     if move.kind not in (COLLAPSE, CONTRACTION):
         raise InconsistencyError(f"a reduction makes no {move.kind!r} move")

@@ -149,6 +149,12 @@ GUARDS = (
     # cohomology.py
     (
         "cohomology.py",
+        "Cochain._check",
+        "self.degree < 0",
+        ("tests/test_cohomology.py::test_a_cochain_of_negative_degree_is_refused",),
+    ),
+    (
+        "cohomology.py",
         "_check_degree_one",
         "cochain.degree != 1",
         ("tests/test_cohomology.py::test_cup_rejects_wrong_degree_or_complex",),
@@ -451,14 +457,6 @@ GUARDS = (
     ),
     (
         "homology.py",
-        "homology_profile",
-        "tuple(len(r) for r in reps) != betti",
-        (
-            "tests/test_homology.py::test_homology_profile_refuses_representatives_that_miss_a_class",
-        ),
-    ),
-    (
-        "homology.py",
         "surplus_cycle",
         "len(t) != 3 or t not in complex_",
         ("tests/test_homology.py::test_surplus_cycle_none_without_threes",),
@@ -482,6 +480,12 @@ GUARDS = (
         ("tests/test_homology.py::test_h2_epi_witness_refuses_a_witness_outside_the_subcomplex",),
     ),
     # reduction.py
+    (
+        "reduction.py",
+        "_betti_after",
+        "not move.aux",
+        ("tests/test_reduction.py::test_seam_refuses_an_excision_without_its_cycle",),
+    ),
     (
         "reduction.py",
         "_betti_after",

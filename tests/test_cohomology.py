@@ -23,7 +23,13 @@ from covertype.homology import chain_data, chain_vector, homology_basis
 from covertype.errors import PreconditionError
 
 from helpers import barycentric_subdivision, independent
-from oracles import vector_coords, vector_dot, vector_from_coords, vector_weight
+from oracles import (
+    kernel_modulo_image_reference,
+    vector_coords,
+    vector_dot,
+    vector_from_coords,
+    vector_weight,
+)
 
 
 def random_cochain(rng, complex_, degree):
@@ -102,6 +108,12 @@ def test_cup_rejects_wrong_degree_or_complex(torus, sphere):
         cochain_support(sphere, one)
 
 
+def test_a_cochain_of_negative_degree_is_refused(torus):
+    # a degree of -1 would index the simplex groups from the end: the triangles
+    with pytest.raises(PreconditionError, match="a cochain has no degree -1"):
+        cochain_support(torus, Cochain(-1, gf2.Gf2Vector(len(torus.simplices(2)), 1)))
+
+
 def test_h1_cocycle_basis_sizes_and_cocycle_property():
     for name, b1 in (
         ("sphere_4", 0),
@@ -128,6 +140,13 @@ def test_h1_cocycle_basis_hollow_triangle():
     basis = h1_cocycle_basis(k)
     assert len(basis) == 1
     assert vector_weight(basis[0].values) == 1  # a single-edge indicator suffices
+
+
+def test_h1_cocycle_basis_without_edges():
+    # delta^1 is 0 x 0 and delta^0 is 0 x 3: no 1-cochain at all
+    k = ct.build_complex([("a",), ("b",), ("c",)])
+    reference = kernel_modulo_image_reference(coboundary_matrix(k, 1), coboundary_matrix(k, 0))
+    assert h1_cocycle_basis(k) == tuple(reference) == ()
 
 
 def test_pairing_tensor_torus(torus):

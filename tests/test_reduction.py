@@ -214,6 +214,15 @@ def test_seam_refuses_an_excision_that_keeps_b2(side_sphere):
         _rebuilt(trace, betti_steps=((1, 0, 2), (1, 0, 2)))
 
 
+def test_seam_refuses_an_excision_without_its_cycle(side_sphere):
+    _, trace = excise_to_surface_homology(side_sphere)
+    (move,) = trace.moves
+    assert move.kind == EXCISION and move.simplices[0] in move.aux
+    bare = MoveRecord(move.kind, move.simplices, move.before_f, move.after_f)
+    with pytest.raises(InconsistencyError, match=r"excision of \('1', '2', '3'\) records no cycle"):
+        _rebuilt(trace, moves=(bare,))
+
+
 def test_seam_refuses_a_collapse_that_changes_b1(flap_trace):
     with pytest.raises(InconsistencyError, match=r"takes the Betti numbers \(1, 2, 1\) to \(1, 1, 1\)"):
         _rebuilt(flap_trace, betti_steps=((1, 2, 1), (1, 1, 1), (1, 1, 1)))

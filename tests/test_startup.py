@@ -200,12 +200,10 @@ EXPORTS = {
     ),
     "homology": (
         "ChainData",
-        "HomologyProfile",
         "betti_numbers",
         "chain_data",
         "h2_epi_witness",
         "homology_basis",
-        "homology_profile",
         "surplus_cycle",
     ),
     "reduction": (

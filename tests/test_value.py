@@ -21,7 +21,6 @@ VALUES = {
         lambda: ct.MoveRecord(COLLAPSE, (("a", "b"), ("a", "b", "c")), (3, 3, 1), (3, 2, 0)),
         "aux",
     ),
-    "HomologyProfile": (lambda: ct.HomologyProfile((1,), (((("a",),),),)), "betti"),
     "Cochain": (lambda: ct.Cochain(1, ct.Gf2Vector(3, 0b101)), "values"),
     "PairingTensor": (lambda: ct.PairingTensor(1, 1, (((1,),),)), "entries"),
     "SurfaceClass": (lambda: ct.SurfaceClass(False, 2), "genus"),
