@@ -15,8 +15,6 @@ the count is made while parsing, before any closure is built.
 
 from __future__ import annotations
 
-import re
-
 # the interpreter's own SHA-256 (_sha2 from 3.12, _sha256 before): hashlib
 # loads OpenSSL, which costs more per CLI call than the hash of a file
 try:
@@ -45,8 +43,6 @@ MAX_SIMPLEX_VERTICES = 16
 # one line of 16 labels; a twice-subdivided surface counts under 7k
 MAX_CLOSURE_FACES = 1 << 16
 
-_SURFACE_RE = re.compile(r"#\s*surface:\s*(\S+)")
-
 
 class ComplexFile(Value):
     """Parsed file: the simplex lines as given, plus any declared surface
@@ -60,6 +56,19 @@ class ComplexFile(Value):
         return build_complex(self.maximal_simplices)
 
 
+def _surface_name(comment: str) -> str | None:
+    """NAME of a comment that reads 'surface: NAME' after its '#', or
+    None: the first run of non-space characters after the colon, where
+    whitespace may precede 'surface:' and follow the colon, and a space
+    is a character that str.isspace counts.  Read with str methods, so
+    that a CLI call loads neither re nor the enum module re imports."""
+    rest = comment.lstrip()
+    if not rest.startswith("surface:"):
+        return None
+    names = rest[len("surface:") :].split(None, 1)
+    return names[0] if names else None
+
+
 def parse_complex_text(text: str) -> ComplexFile:
     surface: str | None = None
     simplices: list[tuple[str, ...]] = []
@@ -70,11 +79,9 @@ def parse_complex_text(text: str) -> ComplexFile:
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw[:-1] if raw.endswith("\r") else raw
         if "#" in line:
-            comment = line[line.index("#") :]
-            match = _SURFACE_RE.match(comment)
-            if match and surface is None:
-                surface = match.group(1)
-            line = line[: line.index("#")]
+            line, _, comment = line.partition("#")
+            if surface is None:
+                surface = _surface_name(comment)
         tokens = line.split()
         if not tokens:
             continue

@@ -32,7 +32,7 @@ column reduction of d_2 is the row reduction of delta^1.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .errors import PreconditionError
 from .value import Value, per_complex
@@ -69,36 +69,16 @@ class Gf2Vector(Value):
         if bits < 0 or bits >> length != 0:
             raise PreconditionError("bit pattern wider than declared length")
 
-    @classmethod
-    def from_support(cls, length: int, support: Iterable[int]) -> "Gf2Vector":
-        bits = 0
-        for i in support:
-            if not 0 <= i < length:
-                raise PreconditionError(f"support index {i} out of range")
-            bits |= 1 << i
-        return cls(length, bits)
-
     def __add__(self, other: "Gf2Vector") -> "Gf2Vector":
         if self.length != other.length:
             raise PreconditionError("vector lengths differ")
         return Gf2Vector(self.length, self.bits ^ other.bits)
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
-    def __len__(self) -> int:
-        return self.length
 
     def is_zero(self) -> bool:
         return self.bits == 0
 
     def support(self) -> tuple[int, ...]:
         return tuple(_bit_indices(self.bits))
-
-    def __str__(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.length))
 
 
 class Gf2Matrix(Value):
@@ -121,9 +101,6 @@ class Gf2Matrix(Value):
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Gf2Matrix":
         return cls(rows, cols, (0,) * rows)
-
-    def row(self, i: int) -> Gf2Vector:
-        return Gf2Vector(self.cols, self.row_bits[i])
 
     @classmethod
     def with_transpose(
@@ -186,22 +163,7 @@ class Gf2Matrix(Value):
             for i, r in enumerate(self.row_bits):
                 bits |= ((r & other.bits).bit_count() & 1) << i
             return Gf2Vector(self.rows, bits)
-        if isinstance(other, Gf2Matrix):
-            if self.cols != other.rows:
-                raise PreconditionError("inner dimensions differ")
-            out = []
-            for r in self.row_bits:
-                acc = 0
-                while r:
-                    lsb = r & -r
-                    acc ^= other.row_bits[lsb.bit_length() - 1]
-                    r ^= lsb
-                out.append(acc)
-            return Gf2Matrix(self.rows, other.cols, tuple(out))
         return NotImplemented
-
-    def is_zero(self) -> bool:
-        return all(r == 0 for r in self.row_bits)
 
 
 def rank(m: Gf2Matrix) -> int:

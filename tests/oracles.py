@@ -7,6 +7,7 @@ against."""
 from __future__ import annotations
 
 import itertools
+import re
 from collections import deque
 
 from covertype.complexes import SimplicialComplex, check_label, make_simplex
@@ -19,6 +20,23 @@ from covertype.errors import (
 )
 from covertype.gf2 import Gf2Matrix, Gf2Vector
 from covertype.surfaces import SurfaceCheckReport
+
+
+# the surface header as the format first read it, with a regular expression
+_SURFACE_RE = re.compile(r"#\s*surface:\s*(\S+)")
+
+
+def surface_name_reference(text):
+    """The surface a file declares: group 1 of _SURFACE_RE matched at
+    the first '#' of the first line where it matches, the lines split
+    at LF with one CR dropped from each end; or None."""
+    for raw in text.split("\n"):
+        line = raw[:-1] if raw.endswith("\r") else raw
+        if "#" in line:
+            match = _SURFACE_RE.match(line[line.index("#") :])
+            if match:
+                return match.group(1)
+    return None
 
 
 def group_by_dim(simplices):
@@ -348,6 +366,28 @@ def vector_coords(v):
     return [(v.bits >> i) & 1 for i in range(v.length)]
 
 
+def vector_from_support(length, support):
+    """The vector of the given length whose 1s are at the support."""
+    bits = 0
+    for i in support:
+        if not 0 <= i < length:
+            raise PreconditionError(f"support index {i} out of range")
+        bits |= 1 << i
+    return Gf2Vector(length, bits)
+
+
+def vector_entry(v, i):
+    """Coordinate i of a vector; IndexError outside 0..length-1."""
+    if not 0 <= i < v.length:
+        raise IndexError(i)
+    return (v.bits >> i) & 1
+
+
+def vector_text(v):
+    """The coordinates of a vector as a string of 0s and 1s."""
+    return "".join(str(c) for c in vector_coords(v))
+
+
 def vector_weight(v):
     """The number of nonzero coordinates."""
     return v.bits.bit_count()
@@ -355,7 +395,7 @@ def vector_weight(v):
 
 def unit_vector(length, i):
     """The vector of the given length with its one 1 at i."""
-    return Gf2Vector.from_support(length, (i,))
+    return vector_from_support(length, (i,))
 
 
 def vector_dot(a, b):
@@ -400,9 +440,34 @@ def matrix_entry(m, i, j):
     return (m.row_bits[i] >> j) & 1
 
 
+def matrix_row(m, i):
+    """Row i of a matrix, as a vector."""
+    return Gf2Vector(m.cols, m.row_bits[i])
+
+
 def matrix_column(m, j):
     """Column j of a matrix, as a vector."""
     return Gf2Vector(m.rows, sum(matrix_entry(m, i, j) << i for i in range(m.rows)))
+
+
+def matrix_is_zero(m):
+    """True when every entry of the matrix is 0."""
+    return not any(m.row_bits)
+
+
+def matrix_product(a, b):
+    """The matrix product a b: row i is the sum of the rows of b at the
+    1s of row i of a."""
+    if a.cols != b.rows:
+        raise PreconditionError("inner dimensions differ")
+    out = []
+    for r in a.row_bits:
+        acc = 0
+        for j in range(a.cols):
+            if (r >> j) & 1:
+                acc ^= b.row_bits[j]
+        out.append(acc)
+    return Gf2Matrix(a.rows, b.cols, tuple(out))
 
 
 def edge_triangle_count(complex_, edge):

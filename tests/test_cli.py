@@ -676,23 +676,27 @@ def test_module_entry_point(files):
 
 # runs in a `python -S` process: what importing the entry-point module
 # prints, then what the function named on the [project.scripts] line
-# prints and returns for `bounds --chi 0`, and whether the heap was frozen
+# prints for `bounds --chi 0`, then what an atexit handler registered
+# before the call prints, and whether the heap was frozen by then; a
+# line after the call would show that the function returned
 SCRIPT_PROBE = """
-import gc, importlib, sys
+import atexit, gc, importlib, sys
 import covertype.__main__
 print("imported, frozen:", gc.get_freeze_count() > 0)
 module, function = sys.argv[1].split(":")
 entry = getattr(importlib.import_module(module), function)
+atexit.register(lambda: print("at exit, frozen:", gc.get_freeze_count() > 0))
 sys.argv = ["covertype", "--machine", "bounds", "--chi", "0"]
 code = entry()
-print("code:", code, "frozen:", gc.get_freeze_count() > 0)
+print("returned:", code)
 """
 
 
 def test_console_script_freezes_the_heap():
     """The installed `covertype` script runs the function that
-    `python -m covertype` runs, which freezes the heap around the
-    command; importing its module alone runs nothing."""
+    `python -m covertype` runs, which freezes the heap before the
+    command and ends the process after it, running the atexit handlers
+    first; importing its module alone runs nothing."""
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     # read as text: Python 3.10 has no tomllib
     lines = pyproject.read_text("utf-8").splitlines()
@@ -700,11 +704,13 @@ def test_console_script_freezes_the_heap():
     name, _, target = script.partition(" = ")
     assert name == "covertype"
     src = Path(ct.__file__).resolve().parents[1]
+    # stdout buffered: the entry point's flush writes the handler's line
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     proc = subprocess.run(
         [sys.executable, "-S", "-c", SCRIPT_PROBE, target.strip('"')],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**env, "PYTHONPATH": str(src)},
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == [
@@ -712,8 +718,70 @@ def test_console_script_freezes_the_heap():
         "command: bounds",
         "chi: 0",
         "rho: 7",
-        "code: 0 frozen: True",
+        "at exit, frozen: True",
     ]
+
+
+# `python -m covertype` as runpy runs it, after an atexit handler has
+# been registered
+WRAPPER = """
+import atexit, runpy
+atexit.register(print, "atexit handler")
+runpy.run_module("covertype", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(("bounds", "--chi", "0"), 0), (("property-a", "torus_wedge_circle_9"), 1), (("bounds",), 2)],
+    ids=["answer", "failed-check", "usage-error"],
+)
+def test_entry_point_runs_atexit_handlers_after_the_output(argv, expected, files, tmp_path, capsys):
+    """The entry point ends the process itself, with the command's exit
+    code; an atexit handler registered before it runs once, after all
+    of the command's output, with stdout a pipe or a file."""
+    args = ["--machine", *(str(files.get(a, a)) for a in argv)]
+    code, out, err = run(capsys, *args)
+    assert code == expected
+    # stdout buffered: the entry point's flush writes the handler's line
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for to_file in (False, True):
+        with open(tmp_path / "stdout", "w+b") as sink:
+            proc = subprocess.run(
+                [sys.executable, "-c", WRAPPER, *args],
+                stdout=sink if to_file else subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=env,
+            )
+            sink.seek(0)
+            stdout = sink.read() if to_file else proc.stdout
+        assert (proc.returncode, stdout.decode(), proc.stderr.decode()) == (
+            code,
+            out + "atexit handler\n",
+            err,
+        )
+
+
+# makes cli.main raise an exception that it does not catch
+RAISE = """
+from covertype import cli
+def _parse(argv):
+    raise RuntimeError("raised inside cli.main")
+cli._parse = _parse
+"""
+
+
+def test_an_exception_out_of_main_ends_the_process_as_the_interpreter_does():
+    """An exception that escapes cli.main is not caught by the entry
+    point: a traceback, exit 1, and the atexit handlers still run."""
+    proc = subprocess.run(
+        [sys.executable, "-c", RAISE + WRAPPER, "bounds", "--chi", "0"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "atexit handler\n")
+    assert proc.stderr.startswith("Traceback (most recent call last):\n")
+    assert proc.stderr.endswith("RuntimeError: raised inside cli.main\n")
 
 
 # every command, a failed check, the usage text and a usage error

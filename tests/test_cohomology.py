@@ -25,9 +25,14 @@ from covertype.errors import PreconditionError
 from helpers import barycentric_subdivision, independent
 from oracles import (
     kernel_modulo_image_reference,
+    matrix_is_zero,
+    matrix_product,
+    matrix_row,
     vector_coords,
     vector_dot,
+    vector_entry,
     vector_from_coords,
+    vector_from_support,
     vector_weight,
 )
 
@@ -42,7 +47,7 @@ def test_coboundary_is_dual_to_boundary(torus):
     assert coboundary_matrix(torus, 1) == d2.transpose()
     delta0 = coboundary_matrix(torus, 0)
     delta1 = coboundary_matrix(torus, 1)
-    assert (delta1 @ delta0).is_zero()
+    assert matrix_is_zero(matrix_product(delta1, delta0))
 
 
 def test_coboundary_evaluation():
@@ -57,11 +62,11 @@ def test_coboundary_shapes():
     edge = ct.build_complex([("a", "b")])
     d0 = coboundary_matrix(edge, 0)
     assert (d0.rows, d0.cols) == (1, 2)
-    assert vector_coords(d0.row(0)) == [1, 1]
+    assert vector_coords(matrix_row(d0, 0)) == [1, 1]
     triangle = ct.build_complex([("a", "b", "c")])
     d1 = coboundary_matrix(triangle, 1)
     assert (d1.rows, d1.cols) == (1, 3)
-    assert vector_coords(d1.row(0)) == [1, 1, 1]
+    assert vector_coords(matrix_row(d1, 0)) == [1, 1, 1]
 
 
 def test_cup_product_front_back_rule():
@@ -69,9 +74,7 @@ def test_cup_product_front_back_rule():
     edges = k.simplices(1)
 
     def indicator(*picked):
-        return Cochain(1, gf2.Gf2Vector.from_support(
-            len(edges), [edges.index(e) for e in picked]
-        ))
+        return Cochain(1, vector_from_support(len(edges), [edges.index(e) for e in picked]))
 
     front = indicator(("a", "b"))
     back = indicator(("b", "c"))
@@ -199,7 +202,7 @@ def test_pairing_tensor_is_the_cup_products_on_the_cycles(name, complex_):
             assert product.values.support() == tuple(
                 t
                 for t, (v0, v1, v2) in enumerate(complex_.simplices(2))
-                if a.values[edge[(v0, v1)]] and b.values[edge[(v1, v2)]]
+                if vector_entry(a.values, edge[(v0, v1)]) and vector_entry(b.values, edge[(v1, v2)])
             )
             row.append(tuple(vector_dot(product.values, z) for z in cycles))
         expected.append(tuple(row))

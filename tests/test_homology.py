@@ -32,6 +32,8 @@ from oracles import (
     betti_oracle,
     kernel_modulo_image_reference,
     matrix_column,
+    matrix_is_zero,
+    matrix_product,
     transpose_reference,
     unit_vector,
     vector_coords,
@@ -44,7 +46,7 @@ def test_boundary_shapes_and_identity(torus):
     d1, d2 = data.boundary_matrix(1), data.boundary_matrix(2)
     assert (d1.rows, d1.cols) == (7, 21)
     assert (d2.rows, d2.cols) == (21, 14)
-    assert (d1 @ d2).is_zero()
+    assert matrix_is_zero(matrix_product(d1, d2))
     assert data.boundary_matrix(0) == gf2.Gf2Matrix.zero(0, 7)
     assert data.boundary_matrix(3) == gf2.Gf2Matrix.zero(14, 0)
     assert data.count(2) == 14

@@ -1,7 +1,9 @@
 """Hypothesis property tests (derandomized, no example database): the
-file format round-trips, arbitrary file bytes never crash the CLI,
-random thickenings certify their base surface with every step replayed
-from scratch, and their traces refuse any one corrupted entry."""
+file format round-trips, its surface header reads as the regular
+expression it was first read with, arbitrary file bytes never crash
+the CLI, random thickenings certify their base surface with every step
+replayed from scratch, and their traces refuse any one corrupted
+entry."""
 
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from covertype.fileformat import complex_to_text, parse_complex_text
 from covertype.reduction import ReductionTrace
 
 from helpers import randomized_thickening, replay_from_scratch
+from oracles import surface_name_reference
 
 
 def derandomized(examples):
@@ -65,6 +68,30 @@ def test_text_round_trip(complex_, surface_name):
     parsed = parse_complex_text(complex_to_text(complex_, surface_name))
     assert parsed.complex() == complex_
     assert parsed.surface_name == surface_name
+
+
+# every character str.isspace counts (the highest is U+3000) but LF,
+# which ends a line; U+200B and U+FEFF look like space but are not
+SPACES = [c for c in map(chr, range(0x3001)) if c.isspace() and c != "\n"]
+comment_pieces = st.sampled_from(
+    ["#", "surface", "surface:", "surface :", "Surface:", ":", "T2", "M2", "x#y", "\u200b", "\ufeff"]
+    + SPACES
+)
+header_lines = st.one_of(
+    st.just("a b c"),
+    st.lists(comment_pieces, max_size=8).map(lambda pieces: "#" + "".join(pieces)),
+    st.lists(comment_pieces, max_size=8).map(lambda pieces: "a b #" + "".join(pieces)),
+)
+
+
+@derandomized(300)
+@given(st.lists(header_lines, min_size=1, max_size=4).map("\n".join))
+def test_surface_header_is_read_as_the_regular_expression_reads_it(text):
+    """The surface header, read with str methods, against the regular
+    expression the format was first read with, on comments with every
+    kind of Unicode whitespace."""
+    parsed = parse_complex_text(text + "\na b c\n")
+    assert parsed.surface_name == surface_name_reference(text)
 
 
 def _lines(tokens):

@@ -23,7 +23,7 @@ SRC = Path(covertype.__file__).resolve().parents[1]
 DATA = SRC / "covertype" / "data"
 
 PROBE = """
-import importlib.util, json, sys
+import importlib.util, sys
 
 def ran():
     # a lazy module whose code has run is a plain module again
@@ -37,6 +37,7 @@ from covertype import cli
 seen = {"after_import": sorted(sys.modules), "ran_after_import": ran()}
 seen["code"] = cli.main(sys.argv[1:])
 seen.update(after_command=sorted(sys.modules), ran=ran())
+import json  # loads re, so only after what the command loaded is read
 print(json.dumps(seen))
 """
 
@@ -46,8 +47,11 @@ COMPILER_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 # annotations are never evaluated and their names come from collections.abc;
 # hashlib loads OpenSSL, and files are hashed with the interpreter's own
 # SHA-256; the command line is read against cli._COMMANDS, and argparse
-# would load gettext and locale for its messages
-UNUSED_AT_RUN_TIME = COMPILER_MODULES + ("typing", "hashlib", "argparse", "gettext", "locale")
+# would load gettext and locale for its messages; the surface header is
+# read with str methods, and re would load enum
+UNUSED_AT_RUN_TIME = COMPILER_MODULES + (
+    "typing", "hashlib", "argparse", "gettext", "locale", "re", "enum",
+)
 
 # The benchmark's tracer wraps functions only in the covertype modules in
 # sys.modules after `from covertype import cli`, so every layer must be
