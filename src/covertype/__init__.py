@@ -72,7 +72,6 @@ _EXPORTS = {
         "PairingTensor",
         "coboundary_matrix",
         "cochain_support",
-        "cup_1_1",
         "h1_cocycle_basis",
         "has_property_A",
         "pairing_tensor",

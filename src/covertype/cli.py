@@ -113,9 +113,7 @@ def _infer_surface(complex_: complexes.SimplicialComplex) -> bounds.SurfaceClass
     betti = homology.betti_numbers(complex_)
     candidates = bounds.surfaces_with_betti(betti)
     if not candidates:
-        raise MalformedInputError(
-            f"Betti numbers {betti} match no closed surface; pass --surface explicitly"
-        )
+        raise MalformedInputError(f"Betti numbers {betti} match no closed surface")
     if len(candidates) > 1:
         raise MalformedInputError(
             f"b1 = {betti[1]} fits both an orientable and a non-orientable surface; pass --surface"

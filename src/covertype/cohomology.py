@@ -7,10 +7,15 @@ evaluates on a triangle (v0, v1, v2) as
 
     (alpha . beta)(v0 v1 v2) = alpha(v0 v1) * beta(v1 v2),
 
-the front-face/back-face rule in the canonical order.  A complex has
-property A when the pairing H^1 x H^1 -> H^2 has no nonzero class that
-multiplies everything to zero; on a closed surface this is Poincare
-duality, and the reduction pipeline leans on it staying true.
+the front-face/back-face rule in the canonical order, which the pairing
+tensor applies through one table per complex.  A complex has property A
+when the pairing H^1 x H^1 -> H^2 has no nonzero class that multiplies
+everything to zero; on a closed surface this is Poincare duality, and
+the reduction pipeline leans on it staying true.  The degenerate
+classes are the combinations of rows of the b1 x (b1*b2) pairing matrix
+that sum to zero, its left kernel.  One routine, property_a_witness,
+reads it for both the `property-a` command's witness and the
+pipeline's verdict.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ __all__ = [
     "Cochain",
     "PairingTensor",
     "coboundary_matrix",
-    "cup_1_1",
     "h1_cocycle_basis",
     "pairing_tensor",
     "has_property_A",
@@ -51,13 +55,6 @@ def coboundary_matrix(complex_: SimplicialComplex, n: int) -> gf2.Gf2Matrix:
     return chain_data(complex_).boundary_matrix(n + 1).transpose()
 
 
-def _check_degree_one(complex_: SimplicialComplex, cochain: Cochain) -> None:
-    if cochain.degree != 1:
-        raise PreconditionError("cup product here is defined for degree-1 cochains")
-    if cochain.values.length != len(complex_.simplices(1)):
-        raise PreconditionError("cochain is indexed against a different complex")
-
-
 @per_complex
 def _cup_table(complex_: SimplicialComplex) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per edge, the triangles whose front edge (v0 v1) is that edge and
@@ -76,16 +73,6 @@ def _triangles(table: tuple[int, ...], cochain: Cochain) -> int:
     for e in cochain.values.support():
         out |= table[e]
     return out
-
-
-def cup_1_1(complex_: SimplicialComplex, alpha: Cochain, beta: Cochain) -> Cochain:
-    """Cup product of two 1-cochains, a 2-cochain: 1 on the triangles
-    whose front edge alpha and whose back edge beta take to 1."""
-    _check_degree_one(complex_, alpha)
-    _check_degree_one(complex_, beta)
-    front, back = _cup_table(complex_)
-    bits = _triangles(front, alpha) & _triangles(back, beta)
-    return Cochain(2, gf2.Gf2Vector(len(complex_.simplices(2)), bits))
 
 
 @per_complex
@@ -116,7 +103,8 @@ class PairingTensor(Value):
 
     def flattened(self) -> gf2.Gf2Matrix:
         """b1 x (b1*b2) matrix whose row i lists all pairings of the
-        i-th class; full row rank is exactly property A."""
+        i-th class; its left kernel is the classes that pair to zero
+        with everything, so full row rank is exactly property A."""
         rows = []
         for i in range(self.b1):
             bits = 0
@@ -148,26 +136,12 @@ def pairing_tensor(complex_: SimplicialComplex) -> PairingTensor:
     return PairingTensor(len(classes), len(cycles), entries)
 
 
-@per_complex
-def has_property_A(complex_: SimplicialComplex) -> bool:
-    """True when no nonzero degree-1 class cups to zero against every
-    degree-1 class, evaluated on a homology basis in degree 2.
-
-    Vacuously true when b1 = 0.
-    """
-    tensor = pairing_tensor(complex_)
-    if tensor.b1 == 0:
-        return True
-    return gf2.rank(tensor.flattened()) == tensor.b1
-
-
 def property_a_witness(complex_: SimplicialComplex) -> Cochain | None:
     """A cocycle representing a nonzero class all of whose cup products
-    vanish, or None when the complex has property A."""
-    tensor = pairing_tensor(complex_)
-    if tensor.b1 == 0:
-        return None
-    kernel = gf2.kernel_basis(tensor.flattened())
+    vanish, or None when the complex has property A: the sum of the
+    classes at the first vector of the canonical left kernel of the
+    flattened pairing matrix, whose rows there sum to zero."""
+    kernel = gf2.kernel_basis(pairing_tensor(complex_).flattened().transpose())
     if not kernel:
         return None
     classes = h1_cocycle_basis(complex_)
@@ -175,3 +149,13 @@ def property_a_witness(complex_: SimplicialComplex) -> Cochain | None:
     for i in kernel[0].support():
         bits ^= classes[i].values.bits
     return Cochain(1, gf2.Gf2Vector(classes[0].values.length, bits))
+
+
+@per_complex
+def has_property_A(complex_: SimplicialComplex) -> bool:
+    """True when no nonzero degree-1 class cups to zero against every
+    degree-1 class, evaluated on a homology basis in degree 2.
+
+    Vacuously true when b1 = 0.
+    """
+    return property_a_witness(complex_) is None

@@ -155,21 +155,9 @@ GUARDS = (
     ),
     (
         "cohomology.py",
-        "_check_degree_one",
-        "cochain.degree != 1",
-        ("tests/test_cohomology.py::test_cup_rejects_wrong_degree_or_complex",),
-    ),
-    (
-        "cohomology.py",
-        "_check_degree_one",
-        "cochain.values.length != len(complex_.simplices(1))",
-        ("tests/test_cohomology.py::test_cup_rejects_wrong_degree_or_complex",),
-    ),
-    (
-        "cohomology.py",
         "cochain_support",
         "cochain.values.length != len(group)",
-        ("tests/test_cohomology.py::test_cup_rejects_wrong_degree_or_complex",),
+        ("tests/test_cohomology.py::test_cochain_support_rejects_a_cochain_of_another_complex",),
     ),
     # complexes.py
     (

@@ -1,8 +1,9 @@
 """Builders for the randomized test corpus: homotopy-preserving
 thickenings of the bundled surfaces (stellar subdivisions, coned-on
-tetrahedra, edge flaps, a dunce hat on a bridge) and small random
-complexes for oracle comparisons; and a from-scratch replay of a
-reduction trace."""
+tetrahedra, edge flaps, a dunce hat on a bridge), wedges, and small
+random complexes for oracle comparisons; the package's cup product as
+the pairing tensor takes it; and a from-scratch replay of a reduction
+trace."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import random
 
 import covertype as ct
 from covertype import gf2
+from covertype.cohomology import _cup_table, _triangles
 from covertype.engine import COLLAPSE, CONTRACTION, EXCISION
 from oracles import free_faces_reference, matrix_from_vectors, replay_reference
 
@@ -111,6 +113,14 @@ def attach_dunce_with_bridge(complex_, vertex, prefix):
     return ct.build_complex(_maximal(complex_) + renamed + [[vertex, f"{prefix}cc"]])
 
 
+def wedge(complex_, other, prefix):
+    """The wedge of two complexes at their first vertices: the other's
+    labels get the prefix, and its first vertex becomes complex_'s."""
+    base, join = complex_.vertices[0], other.vertices[0]
+    renamed = [[base if v == join else f"{prefix}{v}" for v in s] for s in _maximal(other)]
+    return ct.build_complex(_maximal(complex_) + renamed)
+
+
 def barycentric_subdivision(complex_):
     """Barycentric subdivision; new vertices are named by the simplices
     they subdivide."""
@@ -173,6 +183,14 @@ def randomized_thickening(seed):
 def independent(vectors, length):
     """True when the vectors of GF(2)^length are linearly independent."""
     return gf2.rank(matrix_from_vectors(vectors, length)) == len(vectors)
+
+
+def package_cup(complex_, alpha, beta):
+    """The cup product of two 1-cochains as the pairing tensor takes it:
+    the package's cup table read at their supports."""
+    front, back = _cup_table(complex_)
+    bits = _triangles(front, alpha) & _triangles(back, beta)
+    return gf2.Gf2Vector(len(complex_.simplices(2)), bits)
 
 
 def random_small_complex(rng, labels="abcdefghijkl", largest=4):

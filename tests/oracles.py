@@ -10,6 +10,7 @@ import itertools
 import re
 from collections import deque
 
+from covertype.cohomology import Cochain
 from covertype.complexes import SimplicialComplex, check_label, make_simplex
 from covertype.engine import COLLAPSE, CONTRACTION, EXCISION, IDENTIFICATION, MoveRecord
 from covertype.errors import (
@@ -209,6 +210,87 @@ def betti_oracle(complex_):
             rank_d_next = 0
         out.append(a_n - rank_d_n - rank_d_next)
     return tuple(out)
+
+
+def boundary_reference(complex_, n):
+    """d_n as a Gf2Matrix read off boundary_matrix_dense: a row per
+    (n-1)-simplex and a column per n-simplex, either group possibly
+    empty."""
+    dense = boundary_matrix_dense(complex_, n)
+    cols = len(complex_.simplices(n))
+    return Gf2Matrix(len(dense), cols, tuple(sum(x << j for j, x in enumerate(r)) for r in dense))
+
+
+def _transpose(m):
+    return Gf2Matrix(m.cols, m.rows, tuple(transpose_reference(m.row_bits, m.cols)))
+
+
+def cup_reference(complex_, alpha, beta):
+    """The cup product of two 1-cochains, as its vector of values on the
+    triangles: 1 on (v0, v1, v2) when alpha takes the front edge v0 v1
+    and beta the back edge v1 v2 to 1, each edge looked up by its
+    position in the complex's edge list."""
+    edges = {e: i for i, e in enumerate(complex_.simplices(1))}
+    for c in (alpha, beta):
+        if c.degree != 1 or c.values.length != len(edges):
+            raise PreconditionError("the cup product takes two 1-cochains of the complex")
+    triangles = complex_.simplices(2)
+    bits = 0
+    for t, (v0, v1, v2) in enumerate(triangles):
+        if (alpha.values.bits >> edges[(v0, v1)]) & 1 and (beta.values.bits >> edges[(v1, v2)]) & 1:
+            bits |= 1 << t
+    return Gf2Vector(len(triangles), bits)
+
+
+def cohomology_reference(complex_):
+    """A basis of H^1, as 1-cochains, and one of H_2, as vectors over
+    the triangles: kernel_modulo_image_reference over the boundary
+    matrices of boundary_reference."""
+    d1, d2, d3 = (boundary_reference(complex_, n) for n in (1, 2, 3))
+    classes = kernel_modulo_image_reference(_transpose(d2), _transpose(d1))
+    cycles = kernel_modulo_image_reference(d2, d3)
+    return (
+        [Cochain(1, Gf2Vector(d2.rows, bits)) for bits in classes],
+        [Gf2Vector(d2.cols, bits) for bits in cycles],
+    )
+
+
+def property_a_reference(complex_):
+    """True when none of the 2^b1 - 1 nonzero sums of the H^1 basis of
+    cohomology_reference cups to zero with every basis class on every
+    basis 2-cycle."""
+    classes, cycles = cohomology_reference(complex_)
+    n1 = len(complex_.simplices(1))
+    for mask in range(1, 1 << len(classes)):
+        bits = 0
+        for i, a in enumerate(classes):
+            if (mask >> i) & 1:
+                bits ^= a.values.bits
+        alpha = Cochain(1, Gf2Vector(n1, bits))
+        if all(vector_dot(cup_reference(complex_, alpha, b), z) == 0 for b in classes for z in cycles):
+            return False
+    return True
+
+
+def is_degenerate_class_reference(complex_, cochain):
+    """True when the 1-cochain is a cocycle outside the coboundaries
+    whose cup products with every class of the H^1 basis of
+    cohomology_reference, on either side, vanish on every basis
+    2-cycle."""
+    classes, cycles = cohomology_reference(complex_)
+    delta0, delta1 = (_transpose(boundary_reference(complex_, n)) for n in (1, 2))
+    coboundaries = image_reference(delta0)
+    v = cochain.values
+    return (
+        not any((row & v.bits).bit_count() & 1 for row in delta1.row_bits)
+        and len(rref_reference(coboundaries + [v.bits], delta0.rows)[1]) > len(coboundaries)
+        and all(
+            vector_dot(cup_reference(complex_, cochain, b), z) == 0
+            and vector_dot(cup_reference(complex_, b, cochain), z) == 0
+            for b in classes
+            for z in cycles
+        )
+    )
 
 
 def rho_scan(chi):

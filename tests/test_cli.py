@@ -209,9 +209,7 @@ def test_reduce_refuses_homology_of_no_surface(tmp_path, capsys):
     out_path = tmp_path / "r.cplx"
     code, out, err = run(capsys, "--machine", "reduce", circle, out_path)
     assert (code, out) == (2, "")
-    assert err == (
-        "error: Betti numbers (1, 1) match no closed surface; pass --surface explicitly\n"
-    )
+    assert err == "error: Betti numbers (1, 1) match no closed surface\n"
     assert not out_path.exists()
 
 

@@ -3,17 +3,18 @@ cochains, the pairing tensor, and cup-product regularity (property A)."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 import covertype as ct
 from covertype import gf2
+from covertype.cli import main
 from covertype.cohomology import (
     Cochain,
     coboundary_matrix,
     cochain_support,
-    cup_1_1,
     h1_cocycle_basis,
     has_property_A,
     pairing_tensor,
@@ -22,15 +23,17 @@ from covertype.cohomology import (
 from covertype.homology import chain_data, chain_vector, homology_basis
 from covertype.errors import PreconditionError
 
-from helpers import barycentric_subdivision, independent
+from helpers import barycentric_subdivision, independent, package_cup
 from oracles import (
+    cup_reference,
+    is_degenerate_class_reference,
     kernel_modulo_image_reference,
     matrix_is_zero,
     matrix_product,
     matrix_row,
+    property_a_reference,
     vector_coords,
     vector_dot,
-    vector_entry,
     vector_from_coords,
     vector_from_support,
     vector_weight,
@@ -40,6 +43,10 @@ from oracles import (
 def random_cochain(rng, complex_, degree):
     n = len(complex_.simplices(degree))
     return Cochain(degree, gf2.Gf2Vector(n, rng.getrandbits(n)))
+
+
+# the package's cup product and the oracle's, which shares no code with it
+CUPS = (package_cup, cup_reference)
 
 
 def test_coboundary_is_dual_to_boundary(torus):
@@ -79,36 +86,32 @@ def test_cup_product_front_back_rule():
     front = indicator(("a", "b"))
     back = indicator(("b", "c"))
     # order matters: only front-edge then back-edge evaluates to 1
-    assert cup_1_1(k, front, back).values.bits == 1
-    assert cup_1_1(k, back, front).values.bits == 0
-    assert cup_1_1(k, front, front).values.bits == 0
+    for cup in CUPS:
+        assert cup(k, front, back).bits == 1
+        assert cup(k, back, front).bits == 0
+        assert cup(k, front, front).bits == 0
 
 
 def test_cup_is_bilinear(torus):
     rng = random.Random(5)
-    for _ in range(10):
-        a = random_cochain(rng, torus, 1)
-        b = random_cochain(rng, torus, 1)
-        c = random_cochain(rng, torus, 1)
-        ab = Cochain(1, a.values + b.values)
-        left = cup_1_1(torus, ab, c).values
-        assert left == cup_1_1(torus, a, c).values + cup_1_1(torus, b, c).values
-        right = cup_1_1(torus, a, Cochain(1, b.values + c.values)).values
-        assert right == cup_1_1(torus, a, b).values + cup_1_1(torus, a, c).values
+    for cup in CUPS:
+        for _ in range(10):
+            a = random_cochain(rng, torus, 1)
+            b = random_cochain(rng, torus, 1)
+            c = random_cochain(rng, torus, 1)
+            ab = Cochain(1, a.values + b.values)
+            assert cup(torus, ab, c) == cup(torus, a, c) + cup(torus, b, c)
+            right = cup(torus, a, Cochain(1, b.values + c.values))
+            assert right == cup(torus, a, b) + cup(torus, a, c)
 
 
-def test_cup_rejects_wrong_degree_or_complex(torus, sphere):
-    two = Cochain(2, gf2.Gf2Vector(len(torus.simplices(2)), 0))
+def test_cochain_support_rejects_a_cochain_of_another_complex(torus, sphere):
     one = Cochain(1, gf2.Gf2Vector(len(torus.simplices(1)), 0))
-    # a degree-2 cochain with one value per edge is refused by its degree
-    two_on_edges = Cochain(2, one.values)
-    for alpha, beta in ((two, one), (two_on_edges, one), (one, two_on_edges)):
-        with pytest.raises(PreconditionError, match="defined for degree-1 cochains"):
-            cup_1_1(torus, alpha, beta)
     with pytest.raises(PreconditionError, match="indexed against a different complex"):
-        cup_1_1(sphere, one, one)
-    with pytest.raises(PreconditionError):
         cochain_support(sphere, one)
+    # a degree-2 cochain with one value per edge is refused by its degree
+    with pytest.raises(PreconditionError, match="indexed against a different complex"):
+        cochain_support(torus, Cochain(2, one.values))
 
 
 def test_a_cochain_of_negative_degree_is_refused(torus):
@@ -188,23 +191,19 @@ BUNDLED_AND_SUBDIVIDED = _bundled_and_subdivided()
 )
 def test_pairing_tensor_is_the_cup_products_on_the_cycles(name, complex_):
     """Every entry of the tensor is the cup product of its two classes,
-    one product at a time, evaluated on its 2-cycle; and each product is
-    the front-face/back-face rule applied triangle by triangle."""
+    one product at a time, evaluated on its 2-cycle; and each product of
+    the package's cup table is the oracle's front-face/back-face rule
+    applied triangle by triangle."""
     data = chain_data(complex_)
-    edge = data.index[1]
     classes = h1_cocycle_basis(complex_)
     cycles = [chain_vector(data, 2, z) for z in homology_basis(complex_, 2)]
     expected = []
     for a in classes:
         row = []
         for b in classes:
-            product = cup_1_1(complex_, a, b)
-            assert product.values.support() == tuple(
-                t
-                for t, (v0, v1, v2) in enumerate(complex_.simplices(2))
-                if vector_entry(a.values, edge[(v0, v1)]) and vector_entry(b.values, edge[(v1, v2)])
-            )
-            row.append(tuple(vector_dot(product.values, z) for z in cycles))
+            product = cup_reference(complex_, a, b)
+            assert package_cup(complex_, a, b) == product
+            row.append(tuple(vector_dot(product, z) for z in cycles))
         expected.append(tuple(row))
     assert pairing_tensor(complex_).entries == tuple(expected)
 
@@ -264,8 +263,72 @@ def test_witness_class_on_wedge(torus_wedge_circle):
     assert independent(coboundaries + [witness.values], len(k.simplices(1)))
     for beta in h1_cocycle_basis(k):
         for z in cycles:
-            assert vector_dot(cup_1_1(k, witness, beta).values, z) == 0
-            assert vector_dot(cup_1_1(k, beta, witness).values, z) == 0
+            assert vector_dot(cup_reference(k, witness, beta), z) == 0
+            assert vector_dot(cup_reference(k, beta, witness), z) == 0
+    # and against the oracle's own bases of H^1 and H_2
+    assert is_degenerate_class_reference(k, witness)
+
+
+def _hollow_tetrahedron(*labels):
+    return list(itertools.combinations(labels, 3))
+
+
+def _maximal(name):
+    return list(ct.load_bundled(name).maximal_simplices())
+
+
+# b2 != 1: the pairing matrix is b1 x b1*b2, not square; each case is
+# (faces, Betti numbers, the command's witness line or None if regular)
+WIDE_PAIRINGS = {
+    "circle": ([("a", "b"), ("b", "c"), ("a", "c")], (1, 1), "a b"),
+    # the sphere's triangles sort after the projective plane's, then before
+    "rp2-wedge-sphere-after": (
+        _maximal("projective_plane_6") + _hollow_tetrahedron("1", "s1", "s2", "s3"),
+        (1, 1, 2),
+        None,
+    ),
+    "rp2-wedge-sphere-before": (
+        _maximal("projective_plane_6") + _hollow_tetrahedron("0a", "0b", "0c", "1"),
+        (1, 1, 2),
+        None,
+    ),
+    "torus-wedge-sphere": (
+        _maximal("torus_7") + _hollow_tetrahedron("1", "s1", "s2", "s3"),
+        (1, 2, 2),
+        None,
+    ),
+    # two spheres joined by the edge a e, and the circle a x y on a
+    "two-spheres-and-a-circle": (
+        _hollow_tetrahedron("a", "b", "c", "d")
+        + _hollow_tetrahedron("e", "f", "g", "h")
+        + [("a", "e"), ("a", "x"), ("x", "y"), ("a", "y")],
+        (1, 1, 2),
+        "a x",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WIDE_PAIRINGS)
+def test_property_a_when_b2_is_not_one(name, tmp_path, capsys):
+    """The library and the command give one verdict, the oracle's, and
+    a witness cups to zero with every class on every 2-cycle."""
+    faces, betti, witness_line = WIDE_PAIRINGS[name]
+    k = ct.build_complex(faces)
+    assert ct.betti_numbers(k) == betti
+    witness = property_a_witness(k)
+    assert has_property_A(k) is (witness is None) is (witness_line is None)
+    assert property_a_reference(k) is (witness is None)
+    if witness is not None:
+        assert "; ".join(" ".join(e) for e in cochain_support(k, witness)) == witness_line
+        assert is_degenerate_class_reference(k, witness)
+    path = tmp_path / "in.cplx"
+    path.write_text(ct.complex_to_text(k), encoding="utf-8")
+    code = main(["--machine", "property-a", str(path)])
+    out, err = capsys.readouterr()
+    fields = dict(line.split(": ", 1) for line in out.splitlines())
+    assert (code, err) == (0 if witness_line is None else 1, "")
+    assert fields["property_a"] == ("true" if witness_line is None else "false")
+    assert fields.get("witness") == witness_line
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -281,14 +344,11 @@ def test_pairing_ignores_coboundary_perturbations(seed, torus, klein_bottle):
         alpha = rng.choice(basis)
         f = gf2.Gf2Vector(len(k.vertices), rng.getrandbits(len(k.vertices)))
         perturbed = Cochain(1, alpha.values + delta0 @ f)
-        for beta in basis:
-            for z in cycles:
-                assert vector_dot(cup_1_1(k, alpha, beta).values, z) == vector_dot(
-                    cup_1_1(k, perturbed, beta).values, z
-                )
-                assert vector_dot(cup_1_1(k, beta, alpha).values, z) == vector_dot(
-                    cup_1_1(k, beta, perturbed).values, z
-                )
+        for cup in CUPS:
+            for beta in basis:
+                for z in cycles:
+                    assert vector_dot(cup(k, alpha, beta), z) == vector_dot(cup(k, perturbed, beta), z)
+                    assert vector_dot(cup(k, beta, alpha), z) == vector_dot(cup(k, beta, perturbed), z)
 
 
 def test_property_a_insensitive_to_vertex_relabeling(torus):

@@ -1,14 +1,16 @@
 """Hypothesis property tests (derandomized, no example database): the
 file format round-trips, its surface header reads as the regular
 expression it was first read with, arbitrary file bytes never crash
-the CLI, random thickenings certify their base surface with every step
-replayed from scratch, and their traces refuse any one corrupted
-entry."""
+the CLI, property A is the brute-force oracle's on random complexes and
+their wedges with a sphere, a torus or both, random thickenings certify
+their base surface with every step replayed from scratch, and their
+traces refuse any one corrupted entry."""
 
 from __future__ import annotations
 
 import contextlib
 import io
+import random
 import tempfile
 from pathlib import Path
 
@@ -26,8 +28,12 @@ from covertype.errors import InconsistencyError, MalformedInputError
 from covertype.fileformat import complex_to_text, parse_complex_text
 from covertype.reduction import ReductionTrace
 
-from helpers import randomized_thickening, replay_from_scratch
-from oracles import surface_name_reference
+from helpers import random_small_complex, randomized_thickening, replay_from_scratch, wedge
+from oracles import (
+    is_degenerate_class_reference,
+    property_a_reference,
+    surface_name_reference,
+)
 
 
 def derandomized(examples):
@@ -134,6 +140,35 @@ def test_fuzzed_files_never_crash_the_cli(data, command, machine):
     assert code in (0, 1, 2)
     lines = err.getvalue().splitlines()
     assert lines == [] or (len(lines) == 1 and lines[0].startswith("error"))
+
+
+@derandomized(1000)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([(), ("sphere_4",), ("torus_7",), ("sphere_4", "torus_7")]),
+)
+def test_property_a_is_the_brute_force_verdict(seed, summands):
+    """has_property_A, the property-a command and a check of all 2^b1 - 1
+    nonzero classes agree, and the witness is a degenerate class.  The
+    random complexes alone rarely have b2 >= 2; their wedges with a
+    sphere, a torus or both have wider pairing matrices."""
+    k = random_small_complex(random.Random(seed))
+    for i, name in enumerate(summands):
+        k = wedge(k, ct.load_bundled(name), f"w{i}")
+    verdict = property_a_reference(k)
+    assert ct.has_property_A(k) is verdict
+    witness = ct.property_a_witness(k)
+    assert (witness is None) is verdict
+    if witness is not None:
+        assert is_degenerate_class_reference(k, witness)
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "in.cplx"
+        path.write_text(complex_to_text(k), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--machine", "property-a", str(path)])
+    assert (code, err.getvalue()) == (0 if verdict else 1, "")
+    assert f"property_a: {str(verdict).lower()}\n" in out.getvalue()
 
 
 @derandomized(25)
