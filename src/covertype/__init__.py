@@ -87,7 +87,7 @@ _EXPORTS = {
         "make_simplex",
         "remove_two_simplex",
     ),
-    "engine": ("MoveRecord", "apply_move"),
+    "engine": ("MoveRecord",),
     "fileformat": (
         "ComplexFile",
         "complex_to_text",
@@ -119,6 +119,7 @@ _EXPORTS = {
         "eliminate_maximal_edges",
         "excise_to_surface_homology",
         "reduce_to_certificate",
+        "surface_from_cup_squares",
     ),
     "surfaces": (
         "SurfaceCheckReport",

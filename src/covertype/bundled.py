@@ -2,7 +2,11 @@
 
 Every data file that declares a surface is re-validated on load: the
 complex must pass the closed-surface check and classify as declared, so
-a corrupted file cannot slip through as test input.
+a corrupted file cannot slip through as test input.  load_bundled keeps
+each complex it loads for the life of the process (functools.lru_cache),
+and with it every result per_complex keeps on that complex; the test
+fixtures load through it, so each bundled complex is built and checked
+once per test run.
 """
 
 from __future__ import annotations

@@ -110,15 +110,14 @@ def _surface_bounds(surface: bounds.SurfaceClass) -> list:
 
 
 def _infer_surface(complex_: complexes.SimplicialComplex) -> bounds.SurfaceClass:
+    """The closed surface with the input's Betti numbers; an even b1 > 0
+    fits an orientable and a non-orientable one, and the input's cup
+    squares decide between them."""
     betti = homology.betti_numbers(complex_)
     candidates = bounds.surfaces_with_betti(betti)
     if not candidates:
         raise MalformedInputError(f"Betti numbers {betti} match no closed surface")
-    if len(candidates) > 1:
-        raise MalformedInputError(
-            f"b1 = {betti[1]} fits both an orientable and a non-orientable surface; pass --surface"
-        )
-    return candidates[0]
+    return candidates[0] if len(candidates) == 1 else reduction.surface_from_cup_squares(complex_)
 
 
 def cmd_homology(args) -> tuple[int, list]:

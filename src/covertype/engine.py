@@ -1,4 +1,4 @@
-"""The structural moves: how each runs, what it records, and its replay.
+"""The structural moves: how each runs and what it records.
 
 WorkingComplex is a mutable complex on which excision, elementary
 collapse, edge contraction and vertex identification each have their one
@@ -9,9 +9,9 @@ excision cycle given as aux, the collapse witness, the path test of a
 contraction and the link test of an identification.  The module-level
 move functions in complexes are the entry points: they run these
 methods on a WorkingComplex, or on a working copy of a frozen complex
-(_in_place).  apply_move replays a record through its kind's entry
-point, so the reduction pipeline and a replay run the same checks, and
-compares what the replay records with the whole record.  The reduction
+(_in_place).  The engine checks each move's evidence when it makes the
+move; the tests replay every recorded move against references that
+rebuild the complex without it (tests/oracles.py).  The reduction
 pipeline runs each stage on one WorkingComplex and freezes it only at
 the stage's end.
 
@@ -25,7 +25,6 @@ import heapq
 import itertools
 from collections.abc import Callable, Iterable
 
-from . import complexes
 from .complexes import Simplex, SimplicialComplex, check_label, make_simplex
 from .errors import (
     InconsistencyError,
@@ -38,7 +37,6 @@ from .value import Value
 __all__ = [
     "WorkingComplex",
     "MoveRecord",
-    "apply_move",
     "COLLAPSE",
     "CONTRACTION",
     "EXCISION",
@@ -286,62 +284,3 @@ def _in_place(
     work = complex_ if isinstance(complex_, WorkingComplex) else WorkingComplex(complex_)
     record = move(work, *args)
     return (work if work is complex_ else work.freeze()), record
-
-
-# each kind's number of simplices in its record, and its entry point,
-# called with what the record names
-_REPLAY: dict[str, tuple[int, Callable[[SimplicialComplex, MoveRecord], tuple]]] = {
-    EXCISION: (1, lambda k, r: complexes.remove_two_simplex(k, r.simplices[0], r.aux)),
-    COLLAPSE: (2, lambda k, r: complexes.collapse_free_face(k, r.simplices[0])),
-    CONTRACTION: (1, lambda k, r: complexes.contract_edge(k, r.simplices[0])),
-    IDENTIFICATION: (2, lambda k, r: complexes.identify_vertices(k, r.simplices[0][0], r.simplices[1][0])),
-}
-
-
-def _is_simplices(group) -> bool:
-    return isinstance(group, tuple) and all(
-        isinstance(s, tuple) and all(isinstance(v, str) for v in s) for s in group
-    )
-
-
-def _is_f_vector(f) -> bool:
-    return isinstance(f, tuple) and all(type(n) is int for n in f)
-
-
-# what each field of a record holds when a move made it
-_FIELD_SHAPES = (
-    ("kind", lambda kind: isinstance(kind, str), "a string"),
-    ("simplices", _is_simplices, "a tuple of simplices, each a tuple of string labels"),
-    ("aux", _is_simplices, "a tuple of simplices, each a tuple of string labels"),
-    ("before_f", _is_f_vector, "a tuple of ints"),
-    ("after_f", _is_f_vector, "a tuple of ints"),
-)
-
-
-def apply_move(complex_: SimplicialComplex, record: MoveRecord) -> SimplicialComplex:
-    """Replay a recorded move through its kind's entry point, which
-    checks the move's preconditions and evidence; the record's fields
-    must have the shapes a move gives them, the complex must match the
-    record's before state, and the replay must make the record itself."""
-    for name, fits, shape in _FIELD_SHAPES:
-        if not fits(getattr(record, name)):
-            raise PreconditionError(f"a move record's {name} must be {shape}")
-    if complex_.f_vector != record.before_f:
-        raise PreconditionError(
-            f"complex f-vector {complex_.f_vector} does not match the record's {record.before_f}"
-        )
-    if record.kind not in _REPLAY:
-        raise PreconditionError(f"unknown move kind {record.kind!r}")
-    count, replay = _REPLAY[record.kind]
-    if len(record.simplices) != count:
-        raise PreconditionError(
-            f"a record of kind {record.kind!r} needs simplices of length {count},"
-            f" not {len(record.simplices)}"
-        )
-    if not all(record.simplices):
-        raise PreconditionError(f"a record of kind {record.kind!r} names an empty simplex")
-    new, replayed = replay(complex_, record)
-    if replayed != record:
-        fields = [n for n in record._fields if getattr(replayed, n) != getattr(record, n)]
-        raise InconsistencyError(f"replayed {record.kind} differs from its record in {', '.join(fields)}")
-    return new

@@ -13,13 +13,13 @@ so there is no reference cycle.
 
 Each boundary matrix d_n is built together with its transpose, the
 coboundary matrix delta^(n-1): homology.ChainData fills rows and
-columns in one pass and hands both to `Gf2Matrix.with_transpose`, the
-one place a transpose is stored from outside.  Every other transpose is
-built bit by bit when it is first read: that of a matrix restricted to
-some rows or columns (surplus_cycle, h2_epi_witness,
-_kernel_modulo_image), of the pairing tensor's flattening, of a
-Zassenhaus matrix, and the transpose of a coboundary matrix, which is
-a new matrix equal to d_n and not d_n itself.  Every entry
+columns in one pass and hands both to `Gf2Matrix.with_transpose`, and
+surplus_cycle hands it the kept triangles' boundaries, from which its
+restricted d_2 is transposed.  Every other transpose is built bit by
+bit when it is first read: that of a matrix restricted to some rows or
+columns (h2_epi_witness, _kernel_modulo_image), of the pairing tensor's
+flattening, of a Zassenhaus matrix, and the transpose of a coboundary
+matrix, which is a new matrix equal to d_n and not d_n itself.  Every entry
 point reads a kept reduction, so a matrix is eliminated at most once:
 `rank` reads the side with fewer vectors and never back-substitutes;
 `kernel_basis`, `image_basis` and `solve` read the transpose's, the

@@ -168,7 +168,10 @@ def surplus_cycle(
     d2 = data.boundary_matrix(2)
     cols = [data.index[2][t] for t in kept]
     boundaries = d2.transpose().row_bits  # row j is the boundary of triangle j
-    restricted = gf2.Gf2Matrix(len(cols), d2.rows, tuple(boundaries[j] for j in cols)).transpose()
+    kept_boundaries = tuple(boundaries[j] for j in cols)
+    # kernel_basis reads the transpose: keep the rows it is built from
+    rows = gf2.Gf2Matrix(len(cols), d2.rows, kept_boundaries).transpose().row_bits
+    restricted = gf2.Gf2Matrix.with_transpose(d2.rows, len(cols), rows, kept_boundaries)
     kernel = []
     for k in gf2.kernel_basis(restricted):
         bits = 0

@@ -7,15 +7,16 @@ with the Betti numbers after each step.  The final complex is pure
 2-dimensional with no free faces, so counting arguments on its f-vector
 certify the vertex lower bound rho for anything homotopy equivalent to
 the surface.  The final complex's cup squares then decide whether the
-surface is orientable, and a declared class of the other kind is
-refused.
+surface is orientable (surface_from_cup_squares), and a declared class
+of the other kind is refused.
 
 Each stage applies its moves in place to a WorkingComplex through the
 entry points in complexes, which return the engine's MoveRecords, and
 takes a frozen SimplicialComplex snapshot only at its end; the next
 stage starts from that snapshot.  Every recorded Betti entry is exact by a rule
 below, stated once in _betti_after and checked by every ReductionTrace: a
-witness the engine checks as it makes the move, as apply_move does on a replay.
+witness the engine checks as it makes the move.  A trace is refused unless
+it composes, and the tests replay every trace against independent references.
 
 - Collapse of (f, c), dim f = k: c has no coface and f has no
   codimension-1 coface but c, so row f of d_(k+1) is a single 1 in
@@ -82,6 +83,7 @@ __all__ = [
     "eliminate_maximal_edges",
     "excise_to_surface_homology",
     "reduce_to_certificate",
+    "surface_from_cup_squares",
 ]
 
 
@@ -326,6 +328,18 @@ class BoundCertificate(Value):
             )
 
 
+def surface_from_cup_squares(complex_: SimplicialComplex) -> SurfaceClass:
+    """The class the complex's cup squares pick, for b1 its first Betti
+    number: M_(b1/2) when every square a.a vanishes, else N_b1.  a -> a.a
+    is linear over GF(2) and vanishes exactly on the orientable closed
+    surfaces (Wu's formula), so a basis of H^1 decides it.  Only an even
+    b1 fits both classes; _certify reads the orientability alone."""
+    tensor = pairing_tensor(complex_)
+    if any(any(tensor.entries[i][i]) for i in range(tensor.b1)):
+        return SurfaceClass(False, tensor.b1)
+    return SurfaceClass(True, tensor.b1 // 2)
+
+
 def _certify(
     final: SimplicialComplex, property_a: bool | None, surface: SurfaceClass, vertices: int
 ) -> BoundCertificate:
@@ -338,12 +352,9 @@ def _certify(
         raise InconsistencyError("final complex still has free faces")
     if not property_a:
         raise InconsistencyError("final complex lost cup-product regularity")
-    # a -> a.a is linear over GF(2) and vanishes exactly on the
-    # orientable surfaces; property A has built the tensor already
-    tensor = pairing_tensor(final)
-    squares = any(any(tensor.entries[i][i]) for i in range(tensor.b1))
-    if squares == surface.orientable:
-        found, kind = ("a", "orientable") if squares else ("no", "non-orientable")
+    # property A has built the pairing tensor already
+    if surface_from_cup_squares(final).orientable != surface.orientable:
+        found, kind = ("a", "orientable") if surface.orientable else ("no", "non-orientable")
         raise PreconditionError(
             f"the final complex has {found} nonzero cup square, which rules out the {kind} {surface.name}"
         )

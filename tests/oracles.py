@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import deque
+from collections import Counter, deque
 
 from covertype.cohomology import Cochain
 from covertype.complexes import SimplicialComplex, check_label, make_simplex
@@ -593,8 +593,24 @@ def validate_complex(complex_):
 # MoveRecord).
 
 
+def is_cycle_through(complex_, triangle, chain):
+    """Whether the chain lists distinct triangles of the complex, the
+    given one among them, whose edges each occur an even number of
+    times: a 2-cycle through the triangle, by counting edges."""
+    triangles = set(complex_.simplices(2))
+    edges = Counter(e for s in chain for e in itertools.combinations(s, 2))
+    return (
+        triangle in chain
+        and len(set(chain)) == len(chain)
+        and all(s in triangles for s in chain)
+        and all(n % 2 == 0 for n in edges.values())
+    )
+
+
 def excise_reference(complex_, triangle, aux=()):
     t = make_simplex(triangle)
+    if aux and not is_cycle_through(complex_, t, aux):
+        raise InconsistencyError(f"{aux} is not a 2-cycle on the current triangles")
     if len(t) != 3 or t not in complex_:
         raise PreconditionError(f"{t} is not a 2-simplex of the complex")
     if complex_._facet_cofaces[t]:
@@ -669,17 +685,22 @@ def identify_reference(complex_, v, w):
     return new, MoveRecord(IDENTIFICATION, ((keep,), (drop,)), f0, f1)
 
 
+# each kind's reference, called with what its record names
+_REFERENCES = {
+    EXCISION: lambda k, r: excise_reference(k, r.simplices[0], r.aux),
+    COLLAPSE: lambda k, r: collapse_reference(k, r.simplices[0]),
+    CONTRACTION: lambda k, r: contract_reference(k, r.simplices[0]),
+    IDENTIFICATION: lambda k, r: identify_reference(k, r.simplices[0][0], r.simplices[1][0]),
+}
+
+
 def replay_reference(complex_, record):
-    """The complex after a recorded move, by the move's reference, which
-    must make the same record."""
-    if record.kind == EXCISION:
-        new, rec = excise_reference(complex_, record.simplices[0], record.aux)
-    elif record.kind == COLLAPSE:
-        new, rec = collapse_reference(complex_, record.simplices[0])
-    elif record.kind == CONTRACTION:
-        new, rec = contract_reference(complex_, record.simplices[0])
-    else:
-        (keep,), (drop,) = record.simplices
-        new, rec = identify_reference(complex_, keep, drop)
-    assert rec == record
+    """The complex after a recorded move, by its kind's reference, which
+    checks the move and its evidence and must make the whole record."""
+    if record.kind not in _REFERENCES:
+        raise PreconditionError(f"unknown move kind {record.kind!r}")
+    new, replayed = _REFERENCES[record.kind](complex_, record)
+    if replayed != record:
+        fields = [n for n in record._fields if getattr(replayed, n) != getattr(record, n)]
+        raise InconsistencyError(f"replayed {record.kind} differs from its record in {', '.join(fields)}")
     return new

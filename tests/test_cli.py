@@ -184,23 +184,47 @@ def test_reduce_infers_the_surface(files, tmp_path, capsys):
     assert machine(out)["surface"] == "RP^2"
 
 
-def test_reduce_refuses_ambiguous_homology(files, tmp_path, capsys):
-    # b1 = 2 fits both the torus and the Klein bottle
-    code, _, err = run(capsys, "reduce", files["torus_7"], tmp_path / "r.cplx")
-    assert code == 2
-    assert "--surface" in err
+# the benchmark's directory, whose inputs generator the tests run and never change
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-    code, out, _ = run(
-        capsys,
-        "--machine",
-        "reduce",
-        files["torus_7"],
-        tmp_path / "r.cplx",
-        "--surface",
-        "T2",
+
+@pytest.fixture(scope="module")
+def flapped(tmp_path_factory):
+    """The seed-1 surfaces with flaps and dunce hats on bridges, made by
+    the benchmark's own generator; -B writes no bytecode beside it."""
+    out = tmp_path_factory.mktemp("flapped")
+    script = "import pathlib, sys; sys.path.insert(0, sys.argv[1]); import inputs; "
+    script += "inputs.flaps_and_dunce_hats(1, pathlib.Path(sys.argv[2]))"
+    subprocess.run(
+        [sys.executable, "-B", "-c", script, str(PERFBENCH), str(out)], check=True
     )
-    assert code == 0
-    assert machine(out)["final_f_vector"] == "7 21 14"
+    return {path.stem: path for path in out.glob("*.cplx")}
+
+
+@pytest.mark.parametrize(
+    "source, name, surface",
+    [
+        ("files", "torus_7", "T^2"),
+        ("files", "klein_bottle_8", "N_2"),
+        ("files", "genus2_10", "M_2"),
+        ("flapped", "torus_7", "T^2"),
+        ("flapped", "klein_bottle_8", "N_2"),
+    ],
+)
+def test_reduce_infers_the_class_of_an_even_b1_from_cup_squares(
+    source, name, surface, request, tmp_path, capsys
+):
+    """b1 = 2 or 4 fits an orientable and a non-orientable surface; the
+    input's cup squares pick one, and the run is the --surface run."""
+    path = request.getfixturevalue(source)[name]
+    out_path = tmp_path / "r.cplx"
+    code, out, err = run(capsys, "--machine", "reduce", path, out_path)
+    assert (code, err) == (0, "")
+    assert machine(out)["surface"] == surface
+    written = out_path.read_bytes()
+    declared = run(capsys, "--machine", "reduce", path, out_path, "--surface", surface)
+    assert declared == (code, out, err)
+    assert out_path.read_bytes() == written
 
 
 def test_reduce_refuses_homology_of_no_surface(tmp_path, capsys):

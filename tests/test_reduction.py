@@ -7,7 +7,7 @@ import pytest
 
 import covertype as ct
 from covertype import reduction
-from covertype.engine import COLLAPSE, CONTRACTION, EXCISION, MoveRecord, WorkingComplex, apply_move
+from covertype.engine import COLLAPSE, CONTRACTION, EXCISION, MoveRecord, WorkingComplex
 from covertype.reduction import (
     BoundCertificate,
     ReductionTrace,
@@ -17,6 +17,7 @@ from covertype.reduction import (
     eliminate_maximal_edges,
     excise_to_surface_homology,
     reduce_to_certificate,
+    surface_from_cup_squares,
 )
 from covertype.surfaces import SurfaceClass
 from covertype.errors import (
@@ -35,7 +36,7 @@ from helpers import (
     glue_tetrahedron,
     randomized_thickening,
 )
-from oracles import excise_reference
+from oracles import replay_reference
 
 
 def test_collapse_all_solid_tetrahedron():
@@ -125,9 +126,9 @@ def test_excision_worked_example(side_sphere):
 
 def test_excision_cycles_replay_as_evidence(torus):
     """Each cycle the excision stage records is evidence the engine
-    accepts again: on a working complex, where the move matches its
-    rebuilding reference, and through apply_move on frozen complexes.
-    The same cycle one triangle short is refused."""
+    accepts again on a working complex, and the rebuilding reference
+    replays the move on frozen complexes.  The same cycle one triangle
+    short is refused by both."""
     k = glue_tetrahedron(torus, ("1", "2", "4"), "x")
     k = glue_tetrahedron(k, ("3", "5", "6"), "y")
     final, trace = excise_to_surface_homology(k)
@@ -137,12 +138,12 @@ def test_excision_cycles_replay_as_evidence(torus):
         assert len(move.aux) >= 4 and move.aux[0] == move.simplices[0]
         short = MoveRecord(move.kind, move.simplices, move.before_f, move.after_f, move.aux[:-1])
         with pytest.raises(InconsistencyError, match="is not a 2-cycle on the current triangles"):
-            apply_move(frozen, short)
+            replay_reference(frozen, short)
+        with pytest.raises(InconsistencyError, match="is not a 2-cycle on the current triangles"):
+            ct.remove_two_simplex(work, move.simplices[0], short.aux)
         assert ct.remove_two_simplex(work, move.simplices[0], move.aux)[1] == move
-        expected, record = excise_reference(frozen, move.simplices[0], move.aux)
-        assert record == move
-        frozen = apply_move(frozen, move)
-        assert frozen == expected == work.freeze()
+        frozen = replay_reference(frozen, move)
+        assert frozen == work.freeze()
     assert frozen == final
 
 
@@ -327,13 +328,6 @@ def test_certificates_on_bundled_surfaces(name, surface):
     assert cert.f_vector[0] >= cert.rho
 
 
-def _has_nonzero_cup_square(k):
-    """Whether a -> a.a is nonzero on H^1, read off the diagonal of the
-    pairing tensor; a -> a.a is linear over GF(2), so a basis decides it."""
-    tensor = ct.pairing_tensor(k)
-    return any(any(tensor.entries[i][i]) for i in range(tensor.b1))
-
-
 def test_cup_squares_vanish_exactly_on_the_orientable_surfaces():
     """Wu's formula on every bundled closed surface: the cup squares
     vanish exactly when the triangle walk finds an orientation."""
@@ -341,7 +335,17 @@ def test_cup_squares_vanish_exactly_on_the_orientable_surfaces():
     closed = [k for k in closed if ct.check_closed_surface(k).verdict]
     assert len(closed) == 6
     for k in closed:
-        assert _has_nonzero_cup_square(k) != ct.orientable(k)
+        assert surface_from_cup_squares(k).orientable == ct.orientable(k)
+
+
+@pytest.mark.parametrize(
+    "name, surface", SURFACE_FILES + (("m2_homotopy_9", SurfaceClass(True, 2)),)
+)
+def test_cup_squares_give_the_class_of_each_bundled_surface(name, surface):
+    """The rule that infers an even b1's class and checks a declared one
+    gives each bundled closed surface the class the triangle walk finds,
+    and the genus-2 model M_2."""
+    assert surface_from_cup_squares(ct.load_bundled(name)) == surface
 
 
 @pytest.mark.parametrize(
@@ -388,7 +392,7 @@ def test_trace_replays_from_skeleton(seed):
     final, trace, _ = reduce_to_certificate(k, surface)
     current = k.skeleton(2)
     for move in trace.moves:
-        current = apply_move(current, move)
+        current = replay_reference(current, move)
     assert current == final
 
 
