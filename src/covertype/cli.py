@@ -109,17 +109,6 @@ def _surface_bounds(surface: bounds.SurfaceClass) -> list:
     ]
 
 
-def _infer_surface(complex_: complexes.SimplicialComplex) -> bounds.SurfaceClass:
-    """The closed surface with the input's Betti numbers; an even b1 > 0
-    fits an orientable and a non-orientable one, and the input's cup
-    squares decide between them."""
-    betti = homology.betti_numbers(complex_)
-    candidates = bounds.surfaces_with_betti(betti)
-    if not candidates:
-        raise MalformedInputError(f"Betti numbers {betti} match no closed surface")
-    return candidates[0] if len(candidates) == 1 else reduction.surface_from_cup_squares(complex_)
-
-
 def cmd_homology(args) -> tuple[int, list]:
     complex_, fields = _load(args)
     return 0, fields + [
@@ -173,12 +162,17 @@ def cmd_surface(args) -> tuple[int, list]:
 
 def cmd_reduce(args) -> tuple[int, list]:
     complex_, fields = _load(args)
-    surface = bounds.surface_from_name(args.surface) if args.surface else _infer_surface(complex_)
+    surface = bounds.surface_from_name(args.surface) if args.surface else None
+    if surface is None:
+        # an input no closed surface fits is unusable, as a parse error is
+        betti = homology.betti_numbers(complex_)
+        if not bounds.surfaces_with_betti(betti):
+            raise MalformedInputError(f"Betti numbers {betti} match no closed surface")
     final, trace, certificate = reduction.reduce_to_certificate(complex_, surface)
     fileformat.write_complex_file(final, args.out)
     counts = trace.move_counts()
     return 0, fields + [
-        ("surface", surface.name),
+        ("surface", certificate.surface.name),
         ("betti", trace.betti_steps[-1]),
         ("skeleton_f_vector", trace.initial_f),
         ("excisions", counts.get(engine.EXCISION, 0)),

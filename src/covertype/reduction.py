@@ -6,9 +6,9 @@ collapses free faces, and contracts maximal edges, logging every move
 with the Betti numbers after each step.  The final complex is pure
 2-dimensional with no free faces, so counting arguments on its f-vector
 certify the vertex lower bound rho for anything homotopy equivalent to
-the surface.  The final complex's cup squares then decide whether the
-surface is orientable (surface_from_cup_squares), and a declared class
-of the other kind is refused.
+the surface.  The final complex's cup squares then name its class, here
+and nowhere else (surface_from_cup_squares): the answer when none was
+declared, and a declared class of the other kind is refused.
 
 Each stage applies its moves in place to a WorkingComplex through the
 entry points in complexes, which return the engine's MoveRecords, and
@@ -281,19 +281,26 @@ def excise_to_surface_homology(complex_: SimplicialComplex) -> tuple[SimplicialC
 
 
 class BoundCertificate(Value):
-    """Final f-vector of a reduction run plus the counting inequalities
-    that turn it into the vertex lower bound rho.
+    """Surface class and final f-vector of a reduction run plus the
+    counting inequalities that turn them into the vertex lower bound rho.
 
     For a pure 2-complex with no free faces: every edge lies in at
     least two triangles (3*a2 >= 2*a1), the 1-skeleton is a simple
     graph (2*a1 <= a0*(a0-1)), and together with chi = a0 - a1 + a2
     these force 6*chi >= 6*a0 - a0*(a0-1), which is exactly the
-    statement a0 >= rho(chi).
+    statement a0 >= rho(chi).  chi and rho are read off the class.
     """
 
-    chi: int
+    surface: SurfaceClass
     f_vector: tuple[int, int, int]
-    rho: int
+
+    @property
+    def chi(self) -> int:
+        return self.surface.chi
+
+    @property
+    def rho(self) -> int:
+        return rho(self.chi)
 
     @property
     def triangles_cover_edges(self) -> bool:
@@ -313,8 +320,6 @@ class BoundCertificate(Value):
         a0, a1, a2 = self.f_vector
         if a0 - a1 + a2 != self.chi:
             raise InconsistencyError("certificate f-vector does not have the declared chi")
-        if self.rho != rho(self.chi):
-            raise InconsistencyError("certificate rho does not match its chi")
         for label, ok in (
             ("3*a2 >= 2*a1", self.triangles_cover_edges),
             ("2*a1 <= a0*(a0-1)", self.simple_graph_bound),
@@ -332,8 +337,9 @@ def surface_from_cup_squares(complex_: SimplicialComplex) -> SurfaceClass:
     """The class the complex's cup squares pick, for b1 its first Betti
     number: M_(b1/2) when every square a.a vanishes, else N_b1.  a -> a.a
     is linear over GF(2) and vanishes exactly on the orientable closed
-    surfaces (Wu's formula), so a basis of H^1 decides it.  Only an even
-    b1 fits both classes; _certify reads the orientability alone."""
+    surfaces (Wu's formula), so a basis of H^1 decides it.  With b2 = 1
+    and property A the pairing is nondegenerate, and then zero squares
+    make it alternating, of even rank: an odd b1 always gets N_b1."""
     tensor = pairing_tensor(complex_)
     if any(any(tensor.entries[i][i]) for i in range(tensor.b1)):
         return SurfaceClass(False, tensor.b1)
@@ -341,11 +347,12 @@ def surface_from_cup_squares(complex_: SimplicialComplex) -> SurfaceClass:
 
 
 def _certify(
-    final: SimplicialComplex, property_a: bool | None, surface: SurfaceClass, vertices: int
+    final: SimplicialComplex, property_a: bool | None, surface: SurfaceClass | None, vertices: int
 ) -> BoundCertificate:
     """The certificate stage: a pure 2-dimensional final complex with no free faces,
-    property A, cup squares that allow the surface and at most the input's vertices;
-    BoundCertificate checks the surface's chi against the final f-vector."""
+    property A, at most the input's vertices and cup squares that name the class
+    or allow the declared one; BoundCertificate checks its chi against the final
+    f-vector."""
     if any(len(s) != 3 for s in final.maximal_simplices()):
         raise InconsistencyError("final complex is not pure 2-dimensional")
     if final.free_faces():
@@ -353,33 +360,41 @@ def _certify(
     if not property_a:
         raise InconsistencyError("final complex lost cup-product regularity")
     # property A has built the pairing tensor already
-    if surface_from_cup_squares(final).orientable != surface.orientable:
-        found, kind = ("a", "orientable") if surface.orientable else ("no", "non-orientable")
+    found = surface_from_cup_squares(final)
+    if surface is None:
+        surface = found
+    elif found.orientable != surface.orientable:
+        some, kind = ("a", "orientable") if surface.orientable else ("no", "non-orientable")
         raise PreconditionError(
-            f"the final complex has {found} nonzero cup square, which rules out the {kind} {surface.name}"
+            f"the final complex has {some} nonzero cup square, which rules out the {kind} {surface.name}"
         )
     if final.f_vector[0] > vertices:
         raise InconsistencyError("reduction increased the vertex count")
-    return BoundCertificate(surface.chi, final.f_vector, rho(surface.chi))
+    return BoundCertificate(surface, final.f_vector)
 
 
 def reduce_to_certificate(
-    complex_: SimplicialComplex, surface: SurfaceClass
+    complex_: SimplicialComplex, surface: SurfaceClass | None = None
 ) -> tuple[SimplicialComplex, ReductionTrace, BoundCertificate]:
-    """Run the full pipeline against a declared surface class.
+    """Run the full pipeline against a declared surface class, or none.
 
-    Stages: homology-check (Betti numbers must match the surface),
-    excision, collapse, contraction, certificate.  The certificate
-    stage also reads the cup squares of the final complex, which keeps
-    H^1 and the cup products into H^2: they vanish exactly when the
-    surface is orientable, so a declared class of the other kind is
-    refused.  Any stage error is re-raised as StageError naming the
-    stage.
+    Stages: homology-check (Betti numbers must match the surface, or
+    some closed surface when none is declared), excision, collapse,
+    contraction, certificate.  The certificate stage also reads the cup
+    squares of the final complex, which keeps H^1 and the cup products
+    into H^2: they vanish exactly when the surface is orientable, so
+    they name the class when none is declared and refuse a declared
+    class of the other kind.  Any stage error is re-raised as
+    StageError naming the stage.
     """
     stage = "homology-check"
     try:
         actual = betti_numbers(complex_)
-        if surface not in surfaces_with_betti(actual):
+        candidates = surfaces_with_betti(actual)
+        if surface is None:
+            if not candidates:
+                raise PreconditionError(f"Betti numbers {actual} match no closed surface")
+        elif surface not in candidates:
             expected = (1, 2 - surface.chi, 1)
             raise PreconditionError(
                 f"Betti numbers {actual} do not match surface {surface.name} (expected {expected})"

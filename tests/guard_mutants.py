@@ -88,8 +88,8 @@ GUARDS = (
     # cli.py
     (
         "cli.py",
-        "_infer_surface",
-        "not candidates",
+        "cmd_reduce",
+        "not bounds.surfaces_with_betti(betti)",
         ("tests/test_cli.py::test_reduce_refuses_homology_of_no_surface",),
     ),
     (
@@ -497,12 +497,6 @@ GUARDS = (
     (
         "reduction.py",
         "BoundCertificate._check",
-        "self.rho != rho(self.chi)",
-        ("tests/test_reduction.py::test_certificate_validation",),
-    ),
-    (
-        "reduction.py",
-        "BoundCertificate._check",
         "not ok",
         ("tests/test_reduction.py::test_certificate_validation",),
     ),
@@ -539,7 +533,7 @@ GUARDS = (
     (
         "reduction.py",
         "_certify",
-        "surface_from_cup_squares(final).orientable != surface.orientable",
+        "found.orientable != surface.orientable",
         (
             "tests/test_reduction.py::test_certificate_refuses_a_class_the_cup_squares_rule_out[klein_bottle_8-declared1-the final complex has a nonzero cup square, which rules out the orientable T^2]",
         ),
@@ -555,7 +549,13 @@ GUARDS = (
     (
         "reduction.py",
         "reduce_to_certificate",
-        "surface not in surfaces_with_betti(actual)",
+        "not candidates",
+        ("tests/test_reduction.py::test_reduce_without_a_class_refuses_homology_of_no_surface",),
+    ),
+    (
+        "reduction.py",
+        "reduce_to_certificate",
+        "surface not in candidates",
         ("tests/test_reduction.py::test_stage_error_names_the_failing_stage",),
     ),
     # surfaces.py

@@ -188,17 +188,30 @@ def test_reduce_infers_the_surface(files, tmp_path, capsys):
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def flapped(tmp_path_factory):
-    """The seed-1 surfaces with flaps and dunce hats on bridges, made by
-    the benchmark's own generator; -B writes no bytecode beside it."""
-    out = tmp_path_factory.mktemp("flapped")
+def _perfbench_inputs(tmp_path_factory, generator: str) -> dict[str, Path]:
+    """The seed-1 inputs of one of the benchmark's generators, by the
+    name of their base surface; -B writes no bytecode beside it."""
+    out = tmp_path_factory.mktemp(generator)
     script = "import pathlib, sys; sys.path.insert(0, sys.argv[1]); import inputs; "
-    script += "inputs.flaps_and_dunce_hats(1, pathlib.Path(sys.argv[2]))"
+    script += f"inputs.{generator}(1, pathlib.Path(sys.argv[2]))"
     subprocess.run(
         [sys.executable, "-B", "-c", script, str(PERFBENCH), str(out)], check=True
     )
     return {path.stem: path for path in out.glob("*.cplx")}
+
+
+@pytest.fixture(scope="module")
+def flapped(tmp_path_factory):
+    """The seed-1 surfaces with flaps and dunce hats on bridges (the
+    reduce-collapse workload)."""
+    return _perfbench_inputs(tmp_path_factory, "flaps_and_dunce_hats")
+
+
+@pytest.fixture(scope="module")
+def glued(tmp_path_factory):
+    """The seed-1 surfaces with a solid tetrahedron on every 4th triangle
+    (the reduce-excise workload)."""
+    return _perfbench_inputs(tmp_path_factory, "glued_tetrahedra")
 
 
 @pytest.mark.parametrize(
@@ -209,22 +222,31 @@ def flapped(tmp_path_factory):
         ("files", "genus2_10", "M_2"),
         ("flapped", "torus_7", "T^2"),
         ("flapped", "klein_bottle_8", "N_2"),
+        ("flapped", "genus2_10", "M_2"),
+        ("glued", "torus_7", "T^2"),
+        ("glued", "genus2_10", "M_2"),
     ],
 )
 def test_reduce_infers_the_class_of_an_even_b1_from_cup_squares(
     source, name, surface, request, tmp_path, capsys
 ):
     """b1 = 2 or 4 fits an orientable and a non-orientable surface; the
-    input's cup squares pick one, and the run is the --surface run."""
+    cup squares of the reduced complex pick one, and the run is the
+    --surface run, which builds as many pairing tensors."""
     path = request.getfixturevalue(source)[name]
     out_path = tmp_path / "r.cplx"
+    tensors = ct.cohomology.pairing_tensor.cache_info
+    before = tensors().misses
     code, out, err = run(capsys, "--machine", "reduce", path, out_path)
+    inferred = tensors().misses - before
     assert (code, err) == (0, "")
     assert machine(out)["surface"] == surface
     written = out_path.read_bytes()
+    before = tensors().misses
     declared = run(capsys, "--machine", "reduce", path, out_path, "--surface", surface)
     assert declared == (code, out, err)
     assert out_path.read_bytes() == written
+    assert inferred == tensors().misses - before
 
 
 def test_reduce_refuses_homology_of_no_surface(tmp_path, capsys):

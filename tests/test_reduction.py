@@ -251,14 +251,26 @@ def test_seam_refuses_an_identification_in_a_reduction_trace():
 
 def test_certificate_side_sphere(side_sphere):
     _, _, cert = reduce_to_certificate(side_sphere, SurfaceClass(True, 0))
-    assert cert == BoundCertificate(chi=2, f_vector=(5, 9, 6), rho=4)
+    assert cert == BoundCertificate(surface=SurfaceClass(True, 0), f_vector=(5, 9, 6))
+    assert (cert.chi, cert.rho) == (2, 4)
     assert cert.triangles_cover_edges
     assert cert.simple_graph_bound
     assert cert.euler_vertex_bound
 
 
 def test_certify_accepts_a_closed_surface(torus):
-    assert _certify(torus, True, SurfaceClass(True, 1), 7) == BoundCertificate(0, (7, 21, 14), 7)
+    certificate = BoundCertificate(SurfaceClass(True, 1), (7, 21, 14))
+    assert _certify(torus, True, SurfaceClass(True, 1), 7) == certificate
+    # with no class declared, the cup squares name it
+    assert _certify(torus, True, None, 7) == certificate
+
+
+def test_certificates_of_two_classes_on_one_f_vector_differ():
+    """M_2 and N_4 share chi and rho; the certificate tells them apart."""
+    orientable = BoundCertificate(SurfaceClass(True, 2), (9, 36, 25))
+    non_orientable = BoundCertificate(SurfaceClass(False, 4), (9, 36, 25))
+    assert orientable != non_orientable
+    assert (orientable.chi, orientable.rho) == (non_orientable.chi, non_orientable.rho) == (-2, 9)
 
 
 @pytest.mark.parametrize(
@@ -300,7 +312,7 @@ def test_certify_refuses_a_final_complex_that_breaks_a_rule(
 
 def test_certificate_m2_homotopy(m2_homotopy):
     final, trace, cert = reduce_to_certificate(m2_homotopy, SurfaceClass(True, 2))
-    assert cert == BoundCertificate(chi=-2, f_vector=(9, 36, 25), rho=9)
+    assert cert == BoundCertificate(surface=SurfaceClass(True, 2), f_vector=(9, 36, 25))
     assert trace.moves == ()  # the model is already irreducible
     assert final == m2_homotopy
     assert cert.f_vector[0] == cert.rho  # the bound is attained
@@ -396,6 +408,26 @@ def test_trace_replays_from_skeleton(seed):
     assert current == final
 
 
+@pytest.mark.parametrize(
+    "name, surface", SURFACE_FILES + (("m2_homotopy_9", SurfaceClass(True, 2)),)
+)
+def test_reduce_without_a_class_names_the_declared_runs_class(name, surface):
+    """Odd b1, even b1 and b1 = 0: the run with no class declared is the
+    run against the class it names."""
+    inferred = reduce_to_certificate(ct.load_bundled(name))
+    assert inferred[2].surface == surface
+    assert inferred == reduce_to_certificate(ct.load_bundled(name), surface)
+
+
+def test_reduce_without_a_class_refuses_homology_of_no_surface():
+    circle = ct.build_complex([("a", "b"), ("b", "c"), ("a", "c")])
+    with pytest.raises(StageError) as info:
+        reduce_to_certificate(circle)
+    assert info.value.stage == "homology-check"
+    assert isinstance(info.value.cause, PreconditionError)
+    assert str(info.value.cause) == "Betti numbers (1, 1) match no closed surface"
+
+
 def test_stage_error_names_the_failing_stage(torus, torus_wedge_circle):
     with pytest.raises(StageError) as info:
         reduce_to_certificate(torus, SurfaceClass(True, 0))
@@ -469,13 +501,11 @@ def test_seam_refuses_tracked_betti_numbers_that_differ(torus, monkeypatch):
 
 def test_certificate_validation():
     with pytest.raises(InconsistencyError, match="does not have the declared chi"):
-        BoundCertificate(chi=1, f_vector=(5, 9, 6), rho=6)
-    with pytest.raises(InconsistencyError, match="rho"):
-        BoundCertificate(chi=2, f_vector=(5, 9, 6), rho=5)
+        BoundCertificate(surface=SurfaceClass(False, 1), f_vector=(5, 9, 6))
     # a lone triangle: every inequality needs at least two triangles per edge
     with pytest.raises(InconsistencyError, match="3\\*a2 >= 2\\*a1"):
-        BoundCertificate(chi=1, f_vector=(3, 3, 1), rho=6)
+        BoundCertificate(surface=SurfaceClass(False, 1), f_vector=(3, 3, 1))
     # all three inequalities hold at (3, 3, 2) yet three vertices are
     # too few: the linear side condition of rho is what rules it out
     with pytest.raises(InconsistencyError, match="below the bound"):
-        BoundCertificate(chi=2, f_vector=(3, 3, 2), rho=4)
+        BoundCertificate(surface=SurfaceClass(True, 0), f_vector=(3, 3, 2))

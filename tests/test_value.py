@@ -29,7 +29,10 @@ VALUES = {
         lambda: ct.ReductionTrace((4, 6, 4), (4, 6, 4), (), ((1, 0, 1),), True),
         "moves",
     ),
-    "BoundCertificate": (lambda: ct.BoundCertificate(2, (4, 6, 4), 4), "rho"),
+    "BoundCertificate": (
+        lambda: ct.BoundCertificate(ct.SurfaceClass(True, 0), (4, 6, 4)),
+        "surface",
+    ),
     "ComplexFile": (lambda: ct.ComplexFile((("a", "b"),), "S2"), "sha256"),
 }
 NAMES = sorted(VALUES)
@@ -129,9 +132,8 @@ def test_a_subclass_keeps_the_fields_but_is_another_class():
         (lambda: ct.SurfaceClass(True, -1), DomainError),
         (lambda: ct.SurfaceClass(False, 0), DomainError),
         (lambda: ct.ReductionTrace((4, 6, 4), (4, 6, 4), (), (), True), InconsistencyError),
-        (lambda: ct.BoundCertificate(1, (4, 6, 4), 4), InconsistencyError),
-        (lambda: ct.BoundCertificate(2, (4, 6, 4), 5), InconsistencyError),
-        (lambda: ct.BoundCertificate(1, (3, 3, 1), 6), InconsistencyError),
+        (lambda: ct.BoundCertificate(ct.SurfaceClass(False, 1), (4, 6, 4)), InconsistencyError),
+        (lambda: ct.BoundCertificate(ct.SurfaceClass(False, 1), (3, 3, 1)), InconsistencyError),
     ],
 )
 def test_constructors_check_their_fields(build, error):
