@@ -1,8 +1,7 @@
 """The plain-text complex file format.
 
 One maximal simplex per line, vertex labels separated by whitespace.
-'#' starts a comment; a comment of the form '# surface: NAME' declares
-which closed surface the file is expected to triangulate.  Blank lines
+'#' starts a comment, which runs to the end of the line; blank lines
 are ignored.  Files are UTF-8, written with LF; CRLF is tolerated on
 read; bytes that are not UTF-8 are a parse error.  A file with no
 simplex lines is a parse error, and so is a simplex line with more than
@@ -10,7 +9,9 @@ MAX_SIMPLEX_VERTICES labels: a simplex on n vertices brings all 2^n - 1
 of its faces into the complex.  For the same reason a file whose lines
 bring more than MAX_CLOSURE_FACES faces in all is a parse error: each
 line of n labels counts 2^n - 1, a face on two lines counts twice, and
-the count is made while parsing, before any closure is built.
+the count is made while parsing, before any closure is built.  A file
+of more than MAX_FILE_BYTES bytes is a parse error before it is
+decoded, since comments and long labels bring no faces.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .value import Value
 __all__ = [
     "MAX_SIMPLEX_VERTICES",
     "MAX_CLOSURE_FACES",
+    "MAX_FILE_BYTES",
     "ComplexFile",
     "parse_complex_text",
     "parse_complex_file",
@@ -42,35 +44,27 @@ __all__ = [
 MAX_SIMPLEX_VERTICES = 16
 # one line of 16 labels; a twice-subdivided surface counts under 7k
 MAX_CLOSURE_FACES = 1 << 16
+# a twice-subdivided surface is under 50 KB; at 4 MiB the costliest
+# file, all '#' lines, still parses in under 1 s (2-core VM)
+MAX_FILE_BYTES = 1 << 22
 
 
 class ComplexFile(Value):
-    """Parsed file: the simplex lines as given, plus any declared surface
-    and, when read from a file, the sha256 of the bytes that were parsed."""
+    """Parsed file: the simplex lines as given and, when read from a
+    file, the sha256 of the bytes that were parsed."""
 
     maximal_simplices: tuple[tuple[str, ...], ...]
-    surface_name: str | None = None
     sha256: str | None = None
 
     def complex(self) -> SimplicialComplex:
         return build_complex(self.maximal_simplices)
 
 
-def _surface_name(comment: str) -> str | None:
-    """NAME of a comment that reads 'surface: NAME' after its '#', or
-    None: the first run of non-space characters after the colon, where
-    whitespace may precede 'surface:' and follow the colon, and a space
-    is a character that str.isspace counts.  Read with str methods, so
-    that a CLI call loads neither re nor the enum module re imports."""
-    rest = comment.lstrip()
-    if not rest.startswith("surface:"):
-        return None
-    names = rest[len("surface:") :].split(None, 1)
-    return names[0] if names else None
-
-
 def parse_complex_text(text: str) -> ComplexFile:
-    surface: str | None = None
+    return ComplexFile(_read_simplices(text))
+
+
+def _read_simplices(text: str) -> tuple[tuple[str, ...], ...]:
     simplices: list[tuple[str, ...]] = []
     checked: set[str] = set()  # each distinct label is checked once
     faces = 0
@@ -78,10 +72,8 @@ def parse_complex_text(text: str) -> ComplexFile:
     # \x85, U+2028 and a lone CR, which the format reads as whitespace
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw[:-1] if raw.endswith("\r") else raw
-        if "#" in line:
-            line, _, comment = line.partition("#")
-            if surface is None:
-                surface = _surface_name(comment)
+        if "#" in line:  # cheaper than partitioning every simplex line
+            line = line.partition("#")[0]
         tokens = line.split()
         if not tokens:
             continue
@@ -110,35 +102,30 @@ def parse_complex_text(text: str) -> ComplexFile:
         simplices.append(tuple(tokens))
     if not simplices:
         raise ParseError("no simplices in file")
-    return ComplexFile(tuple(simplices), surface)
+    return tuple(simplices)
 
 
 def parse_complex_file(path) -> ComplexFile:
-    """Read the file once; hash and decode those same bytes."""
+    """Read the file once, at most MAX_FILE_BYTES of it; hash and decode
+    those same bytes."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read(MAX_FILE_BYTES + 1)
+    if len(data) > MAX_FILE_BYTES:
+        raise ParseError(f"file is over {MAX_FILE_BYTES} bytes; at most that many are allowed")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
         line = data.count(b"\n", 0, err.start) + 1
         raise ParseError(f"not valid UTF-8 at byte {err.start}", line=line) from err
-    parsed = parse_complex_text(text)
-    return ComplexFile(
-        parsed.maximal_simplices, parsed.surface_name, sha256(data).hexdigest()
-    )
+    return ComplexFile(_read_simplices(text), sha256(data).hexdigest())
 
 
-def complex_to_text(complex_: SimplicialComplex, surface_name: str | None = None) -> str:
-    """Canonical text for a complex: optional surface header, then the
-    maximal simplices one per line in canonical order."""
-    lines = []
-    if surface_name is not None:
-        lines.append(f"# surface: {surface_name}")
-    for s in complex_.maximal_simplices():
-        lines.append(" ".join(s))
-    return "\n".join(lines) + "\n"
+def complex_to_text(complex_: SimplicialComplex) -> str:
+    """Canonical text for a complex: the maximal simplices one per line
+    in canonical order."""
+    return "\n".join(" ".join(s) for s in complex_.maximal_simplices()) + "\n"
 
 
-def write_complex_file(complex_: SimplicialComplex, path, surface_name: str | None = None) -> None:
+def write_complex_file(complex_: SimplicialComplex, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(complex_to_text(complex_, surface_name))
+        fh.write(complex_to_text(complex_))

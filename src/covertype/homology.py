@@ -159,14 +159,15 @@ def surplus_cycle(
     surplus second homology off a 2-skeleton one step at a time.
     """
     data = chain_data(complex_)
+    triangles = data.index[2] if complex_.dim >= 2 else {}
     kept = sorted({make_simplex(t) for t in kept_two_simplices})
     for t in kept:
-        if len(t) != 3 or t not in complex_:
+        if t not in triangles:
             raise PreconditionError(f"{t} is not a 2-simplex of the complex")
     if not kept:
         return None
     d2 = data.boundary_matrix(2)
-    cols = [data.index[2][t] for t in kept]
+    cols = [triangles[t] for t in kept]
     boundaries = d2.transpose().row_bits  # row j is the boundary of triangle j
     kept_boundaries = tuple(boundaries[j] for j in cols)
     # kernel_basis reads the transpose: keep the rows it is built from
@@ -202,11 +203,12 @@ def h2_epi_witness(
     z = chain_vector(data, 2, cycle)
     if not (data.boundary_matrix(2) @ z).is_zero():
         raise PreconditionError("the given chain is not a cycle")
+    triangles = data.index[2] if complex_.dim >= 2 else {}
     inside = set()
     for t in subcomplex.simplices(2):
-        if t not in complex_:
+        if t not in triangles:
             raise PreconditionError(f"{t} is not a 2-simplex of the ambient complex")
-        inside.add(data.index[2][t])
+        inside.add(triangles[t])
     d3 = data.boundary_matrix(3)
     outside = [i for i in range(data.count(2)) if i not in inside]
     rows = tuple(d3.row_bits[i] for i in outside)

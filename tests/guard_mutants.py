@@ -286,27 +286,33 @@ GUARDS = (
     # fileformat.py
     (
         "fileformat.py",
-        "parse_complex_text",
+        "_read_simplices",
         "len(tokens) > MAX_SIMPLEX_VERTICES",
         ("tests/test_cli.py::test_oversized_simplex_line_is_a_parse_error",),
     ),
     (
         "fileformat.py",
-        "parse_complex_text",
+        "_read_simplices",
         "faces > MAX_CLOSURE_FACES",
         ("tests/test_fileformat.py::test_closure_size_is_capped",),
     ),
     (
         "fileformat.py",
-        "parse_complex_text",
+        "_read_simplices",
         "t in seen",
         ('tests/test_fileformat.py::test_only_lf_ends_a_line[\\r]',),
     ),
     (
         "fileformat.py",
-        "parse_complex_text",
+        "_read_simplices",
         "not simplices",
         ("tests/test_fileformat.py::test_parse_errors_carry_line_numbers",),
+    ),
+    (
+        "fileformat.py",
+        "parse_complex_file",
+        "len(data) > MAX_FILE_BYTES",
+        ("tests/test_cli.py::test_oversized_file_is_a_parse_error",),
     ),
     # gf2.py
     ("gf2.py", "Gf2Vector._check", "length < 0", ("tests/test_gf2.py::test_vector_validation",)),
@@ -386,7 +392,7 @@ GUARDS = (
     (
         "homology.py",
         "surplus_cycle",
-        "len(t) != 3 or t not in complex_",
+        "t not in triangles",
         ("tests/test_homology.py::test_surplus_cycle_none_without_threes",),
     ),
     (
@@ -398,7 +404,7 @@ GUARDS = (
     (
         "homology.py",
         "h2_epi_witness",
-        "t not in complex_",
+        "t not in triangles",
         ("tests/test_homology.py::test_h2_epi_witness_refuses_a_subcomplex_outside_the_complex",),
     ),
     (

@@ -23,7 +23,8 @@ from covertype.gf2 import Gf2Matrix, Gf2Vector
 from covertype.surfaces import SurfaceCheckReport
 
 
-# the surface header as the format first read it, with a regular expression
+# a '# surface: NAME' comment, read as the format once read it: the
+# parser now skips it, and the tests hold bundled._FILES against it
 _SURFACE_RE = re.compile(r"#\s*surface:\s*(\S+)")
 
 

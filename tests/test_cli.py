@@ -15,7 +15,7 @@ import pytest
 
 import covertype as ct
 from covertype.cli import _COMMANDS, main
-from covertype.fileformat import MAX_CLOSURE_FACES
+from covertype.fileformat import MAX_CLOSURE_FACES, MAX_FILE_BYTES
 
 from helpers import attach_dunce_with_bridge, attach_flap, glue_tetrahedron
 
@@ -575,6 +575,23 @@ def test_oversized_closure_is_a_parse_error(tmp_path, capsys):
     assert out == ""
     assert err.startswith(f"error: line 2: the simplices up to here bring over {MAX_CLOSURE_FACES}")
     assert len(err.splitlines()) == 1
+
+
+def test_oversized_file_is_a_parse_error(tmp_path, capsys):
+    """Comments and long labels bring no faces, so the byte cap is what
+    bounds them: a file at the cap is read, one byte more is refused
+    before it is decoded."""
+    path = tmp_path / "big.cplx"
+    head = b"1 2 3\n1 2 4\n1 3 4\n2 3 4\n"
+    path.write_bytes(head + b"#" * (MAX_FILE_BYTES - len(head) - 1) + b"\n")
+    code, out, _ = run(capsys, "--machine", "homology", path)
+    assert code == 0
+    assert machine(out)["betti"] == "1 0 1"
+    path.write_bytes(head + b"#" * (MAX_FILE_BYTES - len(head)) + b"\n")
+    code, out, err = run(capsys, "--machine", "homology", path)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: file is over {MAX_FILE_BYTES} bytes; at most that many are allowed\n"
 
 
 def test_sha256_is_of_the_parsed_bytes(tmp_path, capsys):

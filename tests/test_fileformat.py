@@ -1,5 +1,6 @@
-"""The one-simplex-per-line text format: parsing, comments, the surface
-header, error positions, and write/read round trips."""
+"""The one-simplex-per-line text format: parsing, comments, error
+positions, the size caps, write/read round trips, and the bundled
+files' table."""
 
 from __future__ import annotations
 
@@ -21,12 +22,12 @@ from covertype.fileformat import (
     write_complex_file,
 )
 from covertype.errors import ParseError
+from oracles import surface_name_reference
 
 
 def test_parse_basic():
     parsed = parse_complex_text("a b c\nb c d\n")
     assert parsed.maximal_simplices == (("a", "b", "c"), ("b", "c", "d"))
-    assert parsed.surface_name is None
     assert parsed.complex().f_vector == (4, 5, 2)
 
 
@@ -39,13 +40,7 @@ a b c   # a facet
 # trailing remark
 """
     parsed = parse_complex_text(text)
-    assert parsed.surface_name == "T^2"
     assert parsed.maximal_simplices == (("a", "b", "c"), ("b", "c", "d"))
-
-
-def test_first_surface_header_wins():
-    parsed = parse_complex_text("# surface: S2\na b\n# surface: T2\n")
-    assert parsed.surface_name == "S2"
 
 
 def test_crlf_and_tabs_tolerated():
@@ -109,7 +104,6 @@ def test_simplex_order_within_line_is_free():
 def test_complex_to_text_lists_maximal_simplices(side_sphere):
     text = complex_to_text(side_sphere)
     assert text == "1 2 3 4\n1 2 5\n1 3 5\n2 3 5\n"
-    assert complex_to_text(side_sphere, "X").startswith("# surface: X\n")
     assert text.endswith("\n") and "\r" not in text
 
 
@@ -124,17 +118,9 @@ def test_round_trip_bundled(name, tmp_path):
 def test_round_trip_preserves_lower_dimensional_maximal_faces(tmp_path):
     k = ct.build_complex([("a", "b", "c"), ("c", "d"), ("e",)])
     path = tmp_path / "mixed.cplx"
-    write_complex_file(k, path, surface_name=None)
+    write_complex_file(k, path)
     parsed = parse_complex_file(path)
     assert parsed.complex() == k
-
-
-def test_write_declares_surface(tmp_path, torus):
-    path = tmp_path / "t.cplx"
-    write_complex_file(torus, path, surface_name="T^2")
-    parsed = parse_complex_file(path)
-    assert parsed.surface_name == "T^2"
-    assert parsed.complex() == torus
 
 
 def test_bundled_names_and_missing():
@@ -146,31 +132,33 @@ def test_bundled_names_and_missing():
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("# surface: S2\na b c\n", "bundled file corrupt does not triangulate a closed surface"),
+        ("a b c\n", "bundled file corrupt does not triangulate a closed surface"),
         (
-            "# surface: S2\n" + ct.bundled_text("torus_7"),
+            ct.bundled_text("torus_7"),
             "bundled file corrupt declares S^2 but classifies as T^2",
         ),
     ],
     ids=["not-a-surface", "wrong-class"],
 )
 def test_a_bundled_file_is_checked_against_its_header(text, message, monkeypatch):
-    """A data file whose surface header is wrong is refused on load."""
+    """A data file that is not the surface its _FILES entry declares is
+    refused on load; the file's own comments are not read."""
+    monkeypatch.setitem(ct.bundled._FILES, "corrupt", "S^2")
     monkeypatch.setattr(ct.bundled, "bundled_text", lambda name: text)
     with pytest.raises(ct.InconsistencyError, match=f"^{re.escape(message)}$"):
         ct.load_bundled("corrupt")
 
 
 def test_bundled_files_declare_their_surfaces():
-    for name, _ in (
-        ("sphere_4", None),
-        ("projective_plane_6", None),
-        ("torus_7", None),
-        ("klein_bottle_8", None),
-        ("nonorientable_genus3_9", None),
-        ("genus2_10", None),
-    ):
-        assert "# surface:" in ct.bundled_text(name)
+    """Each _FILES entry names the class that the data file's
+    '# surface:' comment names for its readers, and no comment where
+    the entry is None; a declared file classifies as declared."""
+    for name, declared in ct.bundled._FILES.items():
+        assert surface_name_reference(ct.bundled_text(name)) == declared, name
+        if declared is not None:
+            complex_ = ct.load_bundled(name)
+            assert ct.check_closed_surface(complex_).verdict, name
+            assert ct.classify_surface(complex_) == ct.surface_from_name(declared), name
 
 
 def test_file_carries_the_hash_of_its_bytes(tmp_path):

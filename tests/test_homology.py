@@ -291,6 +291,10 @@ def test_surplus_cycle_none_without_threes(sphere):
         surplus_cycle(sphere, [("1", "2")])
     with pytest.raises(PreconditionError):
         surplus_cycle(sphere, [("1", "2", "9")])
+    # below dimension 2 the chain data has no table of triangles
+    circle = ct.build_complex([("a", "b"), ("b", "c"), ("a", "c")])
+    with pytest.raises(PreconditionError, match=r"^\('a', 'b', 'c'\) is not a 2-simplex"):
+        surplus_cycle(circle, [("a", "b", "c")])
 
 
 def test_h2_epi_witness_worked_example(side_sphere):
@@ -331,6 +335,10 @@ def test_h2_epi_witness_refuses_a_subcomplex_outside_the_complex(side_sphere):
     stray = ct.build_complex([("1", "2", "9")])
     with pytest.raises(PreconditionError, match=r"^\('1', '2', '9'\) is not a 2-simplex of the ambient"):
         h2_epi_witness(side_sphere, stray, ())
+    # below dimension 2 the chain data has no table of triangles
+    circle = ct.build_complex([("1", "2"), ("2", "9"), ("1", "9")])
+    with pytest.raises(PreconditionError, match=r"^\('1', '2', '9'\) is not a 2-simplex of the ambient"):
+        h2_epi_witness(circle, stray, ())
 
 
 def test_h2_epi_witness_refuses_a_witness_outside_the_subcomplex(side_sphere, monkeypatch):

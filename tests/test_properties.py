@@ -1,6 +1,6 @@
 """Hypothesis property tests (derandomized, no example database): the
-file format round-trips, its surface header reads as the regular
-expression it was first read with, arbitrary file bytes never crash
+file format round-trips, its comments (a '# surface:' line among
+them) leave the simplices as they are, arbitrary file bytes never crash
 the CLI, property A is the brute-force oracle's on random complexes and
 their wedges with a sphere, a torus or both, random thickenings certify
 their base surface with every step replayed from scratch, and their
@@ -29,11 +29,7 @@ from covertype.fileformat import complex_to_text, parse_complex_text
 from covertype.reduction import ReductionTrace
 
 from helpers import random_small_complex, randomized_thickening, replay_from_scratch, wedge
-from oracles import (
-    is_degenerate_class_reference,
-    property_a_reference,
-    surface_name_reference,
-)
+from oracles import is_degenerate_class_reference, property_a_reference
 
 
 def derandomized(examples):
@@ -67,13 +63,11 @@ def complexes(draw):
 
 
 @derandomized(80)
-@given(complexes(), st.sampled_from([None, "S2", "T2", "RP2", "N3"]))
-def test_text_round_trip(complex_, surface_name):
+@given(complexes())
+def test_text_round_trip(complex_):
     if complex_ is None:
         return
-    parsed = parse_complex_text(complex_to_text(complex_, surface_name))
-    assert parsed.complex() == complex_
-    assert parsed.surface_name == surface_name
+    assert parse_complex_text(complex_to_text(complex_)).complex() == complex_
 
 
 # every character str.isspace counts (the highest is U+3000) but LF,
@@ -83,21 +77,23 @@ comment_pieces = st.sampled_from(
     ["#", "surface", "surface:", "surface :", "Surface:", ":", "T2", "M2", "x#y", "\u200b", "\ufeff"]
     + SPACES
 )
-header_lines = st.one_of(
-    st.just("a b c"),
-    st.lists(comment_pieces, max_size=8).map(lambda pieces: "#" + "".join(pieces)),
-    st.lists(comment_pieces, max_size=8).map(lambda pieces: "a b #" + "".join(pieces)),
-)
+simplex_parts = st.sampled_from(["", "a b", "a b c", " b\tc "])
+comments = st.lists(comment_pieces, max_size=8).map("".join)
 
 
 @derandomized(300)
-@given(st.lists(header_lines, min_size=1, max_size=4).map("\n".join))
-def test_surface_header_is_read_as_the_regular_expression_reads_it(text):
-    """The surface header, read with str methods, against the regular
-    expression the format was first read with, on comments with every
-    kind of Unicode whitespace."""
-    parsed = parse_complex_text(text + "\na b c\n")
-    assert parsed.surface_name == surface_name_reference(text)
+@given(st.lists(st.tuples(simplex_parts, st.none() | comments), min_size=1, max_size=4))
+def test_comments_leave_the_simplices_as_they_are(lines):
+    """Text with comment lines, a '# surface:' header among them, and
+    comments after simplices parses to the same maximal simplices as
+    the text without them, on comments with every kind of Unicode
+    whitespace."""
+    text = "\n".join(part if comment is None else f"{part}#{comment}" for part, comment in lines)
+    bare = "\n".join(part for part, _ in lines)
+    assert (
+        parse_complex_text(text + "\na b c\n").maximal_simplices
+        == parse_complex_text(bare + "\na b c\n").maximal_simplices
+    )
 
 
 def _lines(tokens):

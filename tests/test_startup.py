@@ -47,8 +47,8 @@ COMPILER_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 # annotations are never evaluated and their names come from collections.abc;
 # hashlib loads OpenSSL, and files are hashed with the interpreter's own
 # SHA-256; the command line is read against cli._COMMANDS, and argparse
-# would load gettext and locale for its messages; the surface header is
-# read with str methods, and re would load enum
+# would load gettext, locale, re and enum; the file format is read with
+# str methods, and so needs no re
 UNUSED_AT_RUN_TIME = COMPILER_MODULES + (
     "typing", "hashlib", "argparse", "gettext", "locale", "re", "enum",
 )
