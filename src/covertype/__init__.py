@@ -115,9 +115,6 @@ _EXPORTS = {
     "reduction": (
         "BoundCertificate",
         "ReductionTrace",
-        "collapse_all",
-        "eliminate_maximal_edges",
-        "excise_to_surface_homology",
         "reduce_to_certificate",
         "surface_from_cup_squares",
     ),

@@ -10,13 +10,15 @@ the surface.  The final complex's cup squares then name its class, here
 and nowhere else (surface_from_cup_squares): the answer when none was
 declared, and a declared class of the other kind is refused.
 
-Each stage applies its moves in place to a WorkingComplex through the
-entry points in complexes, which return the engine's MoveRecords, and
-takes a frozen SimplicialComplex snapshot only at its end; the next
-stage starts from that snapshot.  Every recorded Betti entry is exact by a rule
-below, stated once in _betti_after and checked by every ReductionTrace: a
-witness the engine checks as it makes the move.  A trace is refused unless
-it composes, and the tests replay every trace against independent references.
+The stages continue one run (_Run) on one WorkingComplex: each applies
+its moves in place through the entry points in complexes, which return
+the engine's MoveRecords, and ends by freezing a SimplicialComplex
+snapshot only to check it; the next stage goes on with the same working
+complex, and the run's one trace covers every stage.  Every recorded
+Betti entry is exact by a rule below, stated once in _betti_after and
+checked by the ReductionTrace: a witness the engine checks as it makes
+the move.  A trace is refused unless it composes, and the tests replay
+every trace against independent references.
 
 - Collapse of (f, c), dim f = k: c has no coface and f has no
   codimension-1 coface but c, so row f of d_(k+1) is a single 1 in
@@ -43,9 +45,9 @@ the remaining triangles that bound in the ambient complex are exactly
 the span of r_i, r_(i+1), ..., whose reduced basis starts with r_i.
 surplus_cycle itself runs once per excision stage, to check row 0.
 
-Invariants are computed once per complex object (per_complex): a stage
-reads the Betti numbers and property A its predecessor found for the
-snapshot it was handed, e.g. the contraction gate those of collapse.
+Invariants are computed once per complex object (per_complex): the
+contraction gate reads property A of the collapse seam's snapshot, and
+the trace that of the last one.
 """
 
 from __future__ import annotations
@@ -79,9 +81,6 @@ from .value import Value
 __all__ = [
     "ReductionTrace",
     "BoundCertificate",
-    "collapse_all",
-    "eliminate_maximal_edges",
-    "excise_to_surface_homology",
     "reduce_to_certificate",
     "surface_from_cup_squares",
 ]
@@ -104,20 +103,21 @@ def _betti_after(move: MoveRecord, betti: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class ReductionTrace(Value):
-    """Replayable log of a reduction run, which must compose: f-vectors
-    from initial_f through the moves to final_f, and each Betti entry the
+    """Replayable log of a reduction run, from the 2-skeleton through
+    every stage to the final complex, which must compose: f-vectors from
+    initial_f through the moves to final_f, and each Betti entry the
     _betti_after of the one before it.
 
     betti_steps[0] holds the Betti numbers of the initial complex and
     betti_steps[i] those after the i-th move (one more entry than there
-    are moves).  property_a_final is None for the excision stage.
+    are moves).  property_a_final is property A of the final complex.
     """
 
     initial_f: tuple[int, ...]
     final_f: tuple[int, ...]
     moves: tuple[MoveRecord, ...]
     betti_steps: tuple[tuple[int, ...], ...]
-    property_a_final: bool | None
+    property_a_final: bool
 
     def _check(self) -> None:
         if len(self.betti_steps) != len(self.moves) + 1:
@@ -139,26 +139,17 @@ class ReductionTrace(Value):
         return counts
 
 
-def _concat_traces(first: ReductionTrace, second: ReductionTrace) -> ReductionTrace:
-    return ReductionTrace(
-        first.initial_f,
-        second.final_f,
-        first.moves + second.moves,
-        first.betti_steps + second.betti_steps[1:],
-        second.property_a_final,
-    )
-
-
 class _Run:
-    """A reduction in progress: the working complex, the moves and Betti
-    entries recorded so far, and the last snapshot whose Betti numbers
-    are known to be the tracked ones (None after a move)."""
+    """A reduction in progress, which every stage continues: the working
+    complex, the moves and Betti entries recorded so far, and the last
+    snapshot whose Betti numbers are known to be the tracked ones (None
+    after a move).  betti is the start's Betti numbers."""
 
-    def __init__(self, start: SimplicialComplex, betti: tuple[int, ...] | None = None):
+    def __init__(self, start: SimplicialComplex, betti: tuple[int, ...]):
         self.work = WorkingComplex(start)
         self.initial_f = start.f_vector
         self.moves: list[MoveRecord] = []
-        self.betti_steps = [betti_numbers(start) if betti is None else betti]
+        self.betti_steps = [betti]
         self._snapshot = start
 
     @property
@@ -183,9 +174,12 @@ class _Run:
             self._snapshot = frozen
         return self._snapshot
 
-    def trace(self, final: SimplicialComplex, property_a: bool | None) -> ReductionTrace:
+    def trace(self) -> ReductionTrace:
+        """The whole run so far, up to its checked snapshot."""
+        final = self.snapshot()
         return ReductionTrace(
-            self.initial_f, final.f_vector, tuple(self.moves), tuple(self.betti_steps), property_a
+            self.initial_f, final.f_vector, tuple(self.moves), tuple(self.betti_steps),
+            has_property_A(final),
         )
 
     def excise(self, ambient: SimplicialComplex, basis: list[Gf2Vector]) -> None:
@@ -210,19 +204,19 @@ class _Run:
             self.collapse()
 
 
-def collapse_all(complex_: SimplicialComplex) -> tuple[SimplicialComplex, ReductionTrace]:
-    """Collapse free faces until none remain, lexicographically smallest
-    face first.  Each elementary collapse is a homotopy equivalence, so
+def collapse_all(run: _Run) -> SimplicialComplex:
+    """Collapse free faces of the run's complex until none remain,
+    lexicographically smallest face first, and return the checked
+    snapshot.  Each elementary collapse is a homotopy equivalence, so
     the Betti numbers stay constant along the way.
     """
-    run = _Run(complex_)
     run.collapse()
-    final = run.snapshot()
-    return final, run.trace(final, has_property_A(final))
+    return run.snapshot()
 
 
-def eliminate_maximal_edges(complex_: SimplicialComplex) -> tuple[SimplicialComplex, ReductionTrace]:
-    """Contract maximal edges (and re-collapse) until none remain.
+def eliminate_maximal_edges(run: _Run) -> SimplicialComplex:
+    """Contract maximal edges of the run's complex (and re-collapse)
+    until none remain, and return the checked snapshot.
 
     Requires a complex with no free faces.  When the complex carries
     2-dimensional homology, cup-product regularity is checked up front:
@@ -231,27 +225,25 @@ def eliminate_maximal_edges(complex_: SimplicialComplex) -> tuple[SimplicialComp
     no information, so each edge is vetted only by the path test inside
     contract_edge, which raises PropertyAViolationError on failure.
     """
-    run = _Run(complex_)
     if run.work.smallest_free_face() is not None:
         raise PreconditionError("eliminate_maximal_edges expects a complex with no free faces")
-    if len(run.betti) > 2 and run.betti[2] >= 1 and not has_property_A(complex_):
+    if len(run.betti) > 2 and run.betti[2] >= 1 and not has_property_A(run.snapshot()):
         raise PreconditionError(
             "complex has 2-cycles but lacks cup-product regularity; contraction is not justified"
         )
     run.contract()
-    final = run.snapshot()
-    return final, run.trace(final, has_property_A(final))
+    return run.snapshot()
 
 
-def excise_to_surface_homology(complex_: SimplicialComplex) -> tuple[SimplicialComplex, ReductionTrace]:
-    """Cut the 2-skeleton down to a single 2-cycle class.
+def excise_to_surface_homology(complex_: SimplicialComplex) -> _Run:
+    """Start a run at the 2-skeleton and cut it down to a single 2-cycle class.
 
     Requires b2 = 1.  While the 2-skeleton has extra second homology,
     delete the lowest triangle of a 2-cycle that bounds in the ambient
     complex, and record the cycle as evidence; each excision lowers b2
     by exactly one and leaves b0, b1 alone.  Afterwards a cycle
-    generating H_2 of the ambient complex is re-homed inside the result
-    as a final check.  The trace's property_a_final is None.
+    generating H_2 of the ambient complex is re-homed inside the checked
+    snapshot as a final check, and the run is returned.
     """
     ambient_betti = betti_numbers(complex_)
     if len(ambient_betti) < 3 or ambient_betti[2] != 1:
@@ -277,7 +269,7 @@ def excise_to_surface_homology(complex_: SimplicialComplex) -> tuple[SimplicialC
         raise InconsistencyError(
             "no cycle inside the excised skeleton represents the ambient H_2 generator"
         )
-    return current, run.trace(current, None)
+    return run
 
 
 class BoundCertificate(Value):
@@ -347,7 +339,7 @@ def surface_from_cup_squares(complex_: SimplicialComplex) -> SurfaceClass:
 
 
 def _certify(
-    final: SimplicialComplex, property_a: bool | None, surface: SurfaceClass | None, vertices: int
+    final: SimplicialComplex, property_a: bool, surface: SurfaceClass | None, vertices: int
 ) -> BoundCertificate:
     """The certificate stage: a pure 2-dimensional final complex with no free faces,
     property A, at most the input's vertices and cup squares that name the class
@@ -384,8 +376,9 @@ def reduce_to_certificate(
     squares of the final complex, which keeps H^1 and the cup products
     into H^2: they vanish exactly when the surface is orientable, so
     they name the class when none is declared and refuse a declared
-    class of the other kind.  Any stage error is re-raised as
-    StageError naming the stage.
+    class of the other kind.  Excision, collapse and contraction
+    continue one run, whose trace covers all three.  Any stage error is
+    re-raised as StageError naming the stage.
     """
     stage = "homology-check"
     try:
@@ -401,15 +394,14 @@ def reduce_to_certificate(
             )
 
         stage = "excision"
-        skeleton_complex, trace = excise_to_surface_homology(complex_)
+        run = excise_to_surface_homology(complex_)
 
         stage = "collapse"
-        collapsed, collapse_trace = collapse_all(skeleton_complex)
-        trace = _concat_traces(trace, collapse_trace)
+        collapse_all(run)
 
         stage = "contraction"
-        final, contract_trace = eliminate_maximal_edges(collapsed)
-        trace = _concat_traces(trace, contract_trace)
+        final = eliminate_maximal_edges(run)
+        trace = run.trace()
 
         stage = "certificate"
         certificate = _certify(final, trace.property_a_final, surface, complex_.f_vector[0])

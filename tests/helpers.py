@@ -2,13 +2,16 @@
 thickenings of the bundled surfaces (stellar subdivisions, coned-on
 tetrahedra, edge flaps, a dunce hat on a bridge), wedges, and small
 random complexes for oracle comparisons; the package's cup product as
-the pairing tensor takes it; and a from-scratch replay of a reduction
-trace."""
+the pairing tensor takes it; a from-scratch replay of a reduction
+trace; and the seed-1 inputs of the benchmark's generators."""
 
 from __future__ import annotations
 
 import itertools
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import covertype as ct
 from covertype import gf2
@@ -24,6 +27,21 @@ SURFACE_FILES = (
     ("nonorientable_genus3_9", ct.SurfaceClass(False, 3)),
     ("genus2_10", ct.SurfaceClass(True, 2)),
 )
+
+# the benchmark's directory, whose inputs generator the tests run and never change
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_inputs(tmp_path_factory, generator: str) -> dict[str, Path]:
+    """The seed-1 inputs of one of the benchmark's generators, by the
+    name of their base surface; -B writes no bytecode beside it."""
+    out = tmp_path_factory.mktemp(generator)
+    script = "import pathlib, sys; sys.path.insert(0, sys.argv[1]); import inputs; "
+    script += f"inputs.{generator}(1, pathlib.Path(sys.argv[2]))"
+    subprocess.run(
+        [sys.executable, "-B", "-c", script, str(PERFBENCH), str(out)], check=True
+    )
+    return {path.stem: path for path in out.glob("*.cplx")}
 
 
 def _maximal(complex_):

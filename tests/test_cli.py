@@ -17,7 +17,7 @@ import covertype as ct
 from covertype.cli import _COMMANDS, main
 from covertype.fileformat import MAX_CLOSURE_FACES, MAX_FILE_BYTES
 
-from helpers import attach_dunce_with_bridge, attach_flap, glue_tetrahedron
+from helpers import attach_dunce_with_bridge, attach_flap, glue_tetrahedron, perfbench_inputs
 
 
 @pytest.fixture()
@@ -184,34 +184,18 @@ def test_reduce_infers_the_surface(files, tmp_path, capsys):
     assert machine(out)["surface"] == "RP^2"
 
 
-# the benchmark's directory, whose inputs generator the tests run and never change
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _perfbench_inputs(tmp_path_factory, generator: str) -> dict[str, Path]:
-    """The seed-1 inputs of one of the benchmark's generators, by the
-    name of their base surface; -B writes no bytecode beside it."""
-    out = tmp_path_factory.mktemp(generator)
-    script = "import pathlib, sys; sys.path.insert(0, sys.argv[1]); import inputs; "
-    script += f"inputs.{generator}(1, pathlib.Path(sys.argv[2]))"
-    subprocess.run(
-        [sys.executable, "-B", "-c", script, str(PERFBENCH), str(out)], check=True
-    )
-    return {path.stem: path for path in out.glob("*.cplx")}
-
-
 @pytest.fixture(scope="module")
 def flapped(tmp_path_factory):
     """The seed-1 surfaces with flaps and dunce hats on bridges (the
     reduce-collapse workload)."""
-    return _perfbench_inputs(tmp_path_factory, "flaps_and_dunce_hats")
+    return perfbench_inputs(tmp_path_factory, "flaps_and_dunce_hats")
 
 
 @pytest.fixture(scope="module")
 def glued(tmp_path_factory):
     """The seed-1 surfaces with a solid tetrahedron on every 4th triangle
     (the reduce-excise workload)."""
-    return _perfbench_inputs(tmp_path_factory, "glued_tetrahedra")
+    return perfbench_inputs(tmp_path_factory, "glued_tetrahedra")
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from covertype.reduction import (
     BoundCertificate,
     ReductionTrace,
     _certify,
-    _concat_traces,
     collapse_all,
     eliminate_maximal_edges,
     excise_to_surface_homology,
@@ -34,14 +33,32 @@ from helpers import (
     barycentric_subdivision,
     dunce_hat,
     glue_tetrahedron,
+    perfbench_inputs,
     randomized_thickening,
 )
 from oracles import replay_reference
 
 
+def _run(k):
+    """A run started at k with its Betti numbers, for a stage to continue."""
+    return reduction._Run(k, ct.betti_numbers(k))
+
+
+def _collapsed(k):
+    """The snapshot and trace of the collapse stage run on k alone."""
+    run = _run(k)
+    return collapse_all(run), run.trace()
+
+
+def _excised(k):
+    """The snapshot and trace of the excision stage run on k."""
+    run = excise_to_surface_homology(k)
+    return run.snapshot(), run.trace()
+
+
 def test_collapse_all_solid_tetrahedron():
     solid = ct.build_complex([("a", "b", "c", "d")])
-    final, trace = collapse_all(solid)
+    final, trace = _collapsed(solid)
     assert final.f_vector == (1,)
     assert all(m.kind == COLLAPSE for m in trace.moves)
     assert trace.initial_f == (4, 6, 4, 1)
@@ -53,25 +70,27 @@ def test_collapse_all_solid_tetrahedron():
 
 def test_collapse_all_removes_flap(torus):
     flapped = attach_flap(torus, ("1", "2"), "z")
-    final, trace = collapse_all(flapped)
+    final, trace = _collapsed(flapped)
     assert final == torus
     assert trace.move_counts() == {COLLAPSE: 2}
     assert trace.betti_steps == ((1, 2, 1),) * 3
 
 
 def test_collapse_all_fixes_collapse_free_complexes(torus):
-    final, trace = collapse_all(torus)
+    final, trace = _collapsed(torus)
     assert final == torus
     assert trace.moves == ()
     hat = dunce_hat()  # contractible but has no free faces
-    final, trace = collapse_all(hat)
+    final, trace = _collapsed(hat)
     assert final == hat
 
 
 def test_eliminate_maximal_edges_contracts_bridge(torus):
     bridged = attach_dunce_with_bridge(torus, "1", "d_")
     assert bridged.free_faces() == ()
-    final, trace = eliminate_maximal_edges(bridged)
+    run = _run(bridged)
+    final = eliminate_maximal_edges(run)
+    trace = run.trace()
     assert trace.move_counts()[CONTRACTION] == 1
     assert all(b == (1, 2, 1) for b in trace.betti_steps)
     assert trace.property_a_final
@@ -85,14 +104,14 @@ def test_eliminate_maximal_edges_contracts_bridge(torus):
 def test_eliminate_maximal_edges_requires_collapsed_input(torus):
     flapped = attach_flap(torus, ("1", "2"), "z")
     with pytest.raises(PreconditionError):
-        eliminate_maximal_edges(flapped)
+        eliminate_maximal_edges(_run(flapped))
 
 
 def test_eliminate_maximal_edges_gate(torus_wedge_circle):
     # b2 = 1 and the wedge circle kills cup-product regularity, so the
     # contraction stage refuses to start
     with pytest.raises(PreconditionError, match="regularity"):
-        eliminate_maximal_edges(torus_wedge_circle)
+        eliminate_maximal_edges(_run(torus_wedge_circle))
 
 
 def test_eliminate_detects_essential_circle():
@@ -103,11 +122,11 @@ def test_eliminate_detects_essential_circle():
     )
     assert theta.free_faces() == ()
     with pytest.raises(PropertyAViolationError):
-        eliminate_maximal_edges(theta)
+        eliminate_maximal_edges(_run(theta))
 
 
 def test_excision_worked_example(side_sphere):
-    final, trace = excise_to_surface_homology(side_sphere)
+    final, trace = _excised(side_sphere)
     assert trace.initial_f == (5, 9, 7)
     assert final.f_vector == (5, 9, 6)
     assert trace.move_counts() == {EXCISION: 1}
@@ -131,7 +150,7 @@ def test_excision_cycles_replay_as_evidence(torus):
     short is refused by both."""
     k = glue_tetrahedron(torus, ("1", "2", "4"), "x")
     k = glue_tetrahedron(k, ("3", "5", "6"), "y")
-    final, trace = excise_to_surface_homology(k)
+    final, trace = _excised(k)
     assert trace.move_counts() == {EXCISION: 2}
     work, frozen = WorkingComplex(k.skeleton(2)), k.skeleton(2)
     for move in trace.moves:
@@ -148,7 +167,7 @@ def test_excision_cycles_replay_as_evidence(torus):
 
 
 def test_excision_is_trivial_on_surfaces(torus):
-    final, trace = excise_to_surface_homology(torus)
+    final, trace = _excised(torus)
     assert final == torus
     assert trace.moves == ()
 
@@ -185,7 +204,7 @@ def _rebuilt(trace, **fields):
 @pytest.fixture
 def flap_trace(torus):
     """Two collapses that take a flap off the torus: b = (1, 2, 1) throughout."""
-    _, trace = collapse_all(attach_flap(torus, ("1", "2"), "z"))
+    _, trace = _collapsed(attach_flap(torus, ("1", "2"), "z"))
     assert trace.move_counts() == {COLLAPSE: 2}
     return trace
 
@@ -202,21 +221,15 @@ def test_seam_refuses_a_trace_that_ends_elsewhere_than_its_last_move(flap_trace)
         _rebuilt(flap_trace, final_f=flap_trace.initial_f)
 
 
-def test_seam_refuses_stage_traces_that_disagree(side_sphere, flap_trace):
-    _, excision = excise_to_surface_homology(side_sphere)
-    with pytest.raises(InconsistencyError, match="traces do not compose"):
-        _concat_traces(excision, flap_trace)
-
-
 def test_seam_refuses_an_excision_that_keeps_b2(side_sphere):
-    _, trace = excise_to_surface_homology(side_sphere)
+    _, trace = _excised(side_sphere)
     assert trace.betti_steps == ((1, 0, 2), (1, 0, 1))
     with pytest.raises(InconsistencyError, match=r"takes the Betti numbers \(1, 0, 2\) to \(1, 0, 2\)"):
         _rebuilt(trace, betti_steps=((1, 0, 2), (1, 0, 2)))
 
 
 def test_seam_refuses_an_excision_without_its_cycle(side_sphere):
-    _, trace = excise_to_surface_homology(side_sphere)
+    _, trace = _excised(side_sphere)
     (move,) = trace.moves
     assert move.kind == EXCISION and move.simplices[0] in move.aux
     bare = MoveRecord(move.kind, move.simplices, move.before_f, move.after_f)
@@ -230,7 +243,7 @@ def test_seam_refuses_a_collapse_that_changes_b1(flap_trace):
 
 
 def test_seam_refuses_a_collapse_that_drops_a_dimension_with_homology():
-    _, trace = collapse_all(ct.build_complex([("a", "b", "c", "d")]))
+    _, trace = _collapsed(ct.build_complex([("a", "b", "c", "d")]))
     first = trace.moves[0]
     assert (first.before_f, first.after_f) == ((4, 6, 4, 1), (4, 6, 3))
     with pytest.raises(InconsistencyError, match="dropped a dimension with homology"):
@@ -242,7 +255,7 @@ def test_seam_refuses_an_identification_in_a_reduction_trace():
     _, move = ct.identify_vertices(two_edges, "a", "c")
     # Betti entries an equivalence would keep, so only the kind can be refused
     with pytest.raises(InconsistencyError, match="a reduction makes no 'vertex-identification' move"):
-        ReductionTrace(move.before_f, move.after_f, (move,), ((2, 0), (2, 0)), None)
+        ReductionTrace(move.before_f, move.after_f, (move,), ((2, 0), (2, 0)), True)
 
 
 # ---------------------------------------------------------------------
@@ -466,6 +479,11 @@ def _torus_with_two_tetrahedra(torus):
     return glue_tetrahedron(k, ("3", "5", "6"), "y")
 
 
+@pytest.fixture
+def torus_with_two_tetrahedra(torus):
+    return _torus_with_two_tetrahedra(torus)
+
+
 def test_excision_refuses_a_surplus_cycle_search_that_disagrees(torus, monkeypatch):
     """The from-scratch search must pick row 0 of the im d_3 basis."""
     monkeypatch.setattr(reduction, "surplus_cycle", lambda k, triangles: None)
@@ -481,22 +499,63 @@ def test_excision_refuses_a_skeleton_without_the_ambient_h2_generator(torus, mon
     assert info.value.stage == "excision"
 
 
-def test_seam_refuses_tracked_betti_numbers_that_differ(torus, monkeypatch):
-    """At the end of the collapse stage the snapshot's Betti numbers are
-    recomputed from scratch; a wrong answer there stops the pipeline."""
-    flapped = attach_flap(torus, ("1", "2"), "z")
+@pytest.mark.parametrize(
+    "thicken, stage",
+    [
+        pytest.param(_torus_with_two_tetrahedra, "excision", id="excision"),
+        pytest.param(lambda torus: attach_flap(torus, ("1", "2"), "z"), "collapse", id="collapse"),
+        # no free face, so the collapse stage makes no move and checks nothing
+        pytest.param(
+            lambda torus: attach_dunce_with_bridge(torus, "1", "d_"), "contraction", id="contraction"
+        ),
+    ],
+)
+def test_seam_refuses_tracked_betti_numbers_that_differ(torus, monkeypatch, thicken, stage):
+    """At the end of each stage that moves, the snapshot's Betti numbers
+    are recomputed from scratch; a wrong answer there stops the pipeline
+    in that stage."""
+    k = thicken(torus)
     betti_numbers = reduction.betti_numbers
 
-    def wrong_after_a_move(k):
-        betti = betti_numbers(k)
-        return betti if k.f_vector == flapped.f_vector else (2,) + betti[1:]
+    def wrong_after_a_move(complex_):
+        betti = betti_numbers(complex_)
+        return betti if complex_.f_vector == k.f_vector else (2,) + betti[1:]
 
     monkeypatch.setattr(reduction, "betti_numbers", wrong_after_a_move)
     with pytest.raises(
         StageError, match=r"tracked Betti numbers \(1, 2, 1\) differ from the recomputed \(2, 2, 1\)"
     ) as info:
-        reduce_to_certificate(flapped, SurfaceClass(True, 1))
-    assert info.value.stage == "collapse"
+        reduce_to_certificate(k, SurfaceClass(True, 1))
+    assert info.value.stage == stage
+
+
+@pytest.fixture(scope="module")
+def flapped_genus2(tmp_path_factory):
+    """The seed-1 genus2_10 of the reduce-collapse benchmark workload:
+    flaps and dunce hats on bridges."""
+    path = perfbench_inputs(tmp_path_factory, "flaps_and_dunce_hats")["genus2_10"]
+    return ct.parse_complex_file(path).complex()
+
+
+@pytest.mark.parametrize(
+    "source, kinds",
+    [("flapped_genus2", {COLLAPSE, CONTRACTION}), ("torus_with_two_tetrahedra", {EXCISION})],
+)
+def test_a_reduction_builds_one_working_complex(source, kinds, request, monkeypatch):
+    """Excision, collapse and contraction continue one run: the moves of
+    every stage are made on the working complex built for the 2-skeleton."""
+    k = request.getfixturevalue(source)
+    built = []
+    init = WorkingComplex.__init__
+
+    def counted(self, complex_):
+        built.append(complex_.f_vector)
+        init(self, complex_)
+
+    monkeypatch.setattr(WorkingComplex, "__init__", counted)
+    _, trace, _ = reduce_to_certificate(k)
+    assert set(trace.move_counts()) == kinds
+    assert built == [k.skeleton(2).f_vector]
 
 
 def test_certificate_validation():
